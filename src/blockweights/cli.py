@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .arith import make_params
+from .arith import make_params, prime_power_decomposition
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -105,8 +105,9 @@ def _cmd_verify(args) -> int:
     epss = _parse_eps_list(args.eps)
     param_list = []
     for q in qs:
+        p = prime_power_decomposition(q)[0]
         for ell in ells:
-            if q % ell == 0:
+            if ell == p:
                 # defining characteristic is out of scope; skip the
                 # combination rather than failing the whole grid
                 print(

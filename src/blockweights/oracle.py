@@ -14,13 +14,11 @@ enumeration is capped by ORACLE_CAP elements of the ambient GL/GU.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 from .arith import InstanceParams, make_params
 from .errors import InvariantViolationError, UnsupportedModeError
-from .semisimple import center_elements
-from .symbols import _acted_admissible_key, enumerate_admissible_symbols, kappa
+from .verify import run_instance
 
 ORACLE_CAP = 300_000
 _MAX_N = 3
@@ -347,24 +345,13 @@ def ell_regular_class_count(F: TinyField, n: int, elements, ell: int) -> tuple[i
 
 
 def _engine_count(kind: str, params: InstanceParams) -> int:
-    symbols = enumerate_admissible_symbols(params)
+    """The engine's Brauer character count: a total of run_instance."""
+    totals = run_instance(params).totals
     if kind in ("GL", "GU"):
-        return len(symbols)
-    if params.ell == 2:
-        raise UnsupportedModeError("ell=2 upper bound only")
-    if math.gcd(params.n, params.q - params.eps) % params.ell == 0:
-        raise UnsupportedModeError("ell divides gcd(n, q-eps)")
-    center = center_elements(params)
-    eq = params.eq
-    seen: set = set()
-    total = 0
-    for s in symbols:
-        canon = min(_acted_admissible_key(z, s, eq) for z in center.elements)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        total += kappa(s, params)
-    return total
+        return totals["total_symbols"]
+    if totals["sl_refused"] is not None:
+        raise UnsupportedModeError(totals["sl_refused"])
+    return totals["sl_total_ibr"]
 
 
 def cross_check(kind: str, n: int, q: int, ell: int) -> dict:

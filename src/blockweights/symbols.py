@@ -8,6 +8,13 @@ core function on slots (weight symbols, labelling conjugacy classes of
 weights) gives the two compressed label families.  The ell'-part of the
 center acts on all three by translating orbits; stabilizer orders drive the
 SL-level restriction counts.
+
+Each quantity of the descent to SL_n(eps q) is implemented here, once:
+sl_refusal decides whether the SL counts cover an instance; _center_orbit
+gives the stabilizer order and least acted key of any label (kappa_ellprime,
+kappa_weight); block_counts, the per-block kernel, gives kappa_b =
+|C1 intersect C2|, the per-SL-block restriction sums with their
+divisibility and the bijection checks (kappa_block, sl_block_report).
 """
 
 from __future__ import annotations
@@ -167,8 +174,8 @@ def weight_symbol(tuples_, params: InstanceParams) -> WeightSymbol:
             key=lambda t: t[0].rep,
         )
     )
-    base = block_symbol([(orb, m, lam) for orb, m, lam, _ in canon], params)
-    for (orb, m, lam, func), (_, _, _) in zip(canon, base.triples):
+    block_symbol([(orb, m, lam) for orb, m, lam, _ in canon], params)
+    for orb, m, lam, func in canon:
         ei = e_gamma(orb.size, params)
         w = (m - sum(lam)) // ei
         validate_core_function(func, ei, w, params.ell)
@@ -245,25 +252,26 @@ def _acted_weight_key(z: RootLabel, sym: WeightSymbol, eq: int):
     )
 
 
-def acted_key(z: RootLabel, sym, params: InstanceParams):
-    if isinstance(sym, AdmissibleSymbol):
-        return _acted_admissible_key(z, sym, params.eq)
-    if isinstance(sym, BlockSymbol):
-        return _acted_block_key(z, sym, params.eq)
-    if isinstance(sym, WeightSymbol):
-        return _acted_weight_key(z, sym, params.eq)
-    raise DomainError(f"cannot act on {type(sym).__name__}")
+def _center_orbit(acted_key, sym, zs_rest, eq: int):
+    """(key of sym, nontrivial center elements fixing sym, least key of its
+    center orbit).  acted_key is the _acted_*_key of the symbol's type and
+    zs_rest the center without its identity, which sorts first."""
+    own = sym.key()
+    fixing = []
+    least = own
+    for z in zs_rest:
+        key = acted_key(z, sym, eq)
+        if key == own:
+            fixing.append(z)
+        elif key < least:
+            least = key
+    return own, fixing, least
 
 
 def kappa_ellprime(sym: AdmissibleSymbol, params: InstanceParams) -> int:
     """Order of the stabilizer of the symbol in the ell'-part of the center."""
-    own = sym.key()
-    eq = params.eq
-    return sum(
-        1
-        for z in center_elements(params).elements
-        if _acted_admissible_key(z, sym, eq) == own
-    )
+    zs_rest = center_elements(params).elements[1:]
+    return 1 + len(_center_orbit(_acted_admissible_key, sym, zs_rest, params.eq)[1])
 
 
 def kappa_ell(sym: AdmissibleSymbol, params: InstanceParams) -> int:
@@ -281,27 +289,8 @@ def kappa(sym: AdmissibleSymbol, params: InstanceParams) -> int:
 
 def kappa_weight(sym: WeightSymbol, params: InstanceParams) -> int:
     """Stabilizer order of a weight symbol in the ell'-part of the center."""
-    own = sym.key()
-    eq = params.eq
-    return sum(
-        1
-        for z in center_elements(params).elements
-        if _acted_weight_key(z, sym, eq) == own
-    )
-
-
-def orbit_and_stabilizer(sym, params: InstanceParams):
-    """Center orbit (sorted) and stabilizer order of any symbol type."""
-    center = center_elements(params)
-    images = {}
-    for z in center.elements:
-        image = z_act(z, sym, params)
-        images.setdefault(image.key(), image)
-    orbit = tuple(sorted(images.values(), key=lambda t: t.key()))
-    stab, rem = divmod(center.order, len(orbit))
-    if rem:
-        raise InvariantViolationError("orbit size does not divide center order")
-    return orbit, stab
+    zs_rest = center_elements(params).elements[1:]
+    return 1 + len(_center_orbit(_acted_weight_key, sym, zs_rest, params.eq)[1])
 
 
 # Blocks.
@@ -476,35 +465,10 @@ def _block_steps(block: BlockSymbol, params: InstanceParams):
     ]
 
 
-def block_c1_c2(block: BlockSymbol, params: InstanceParams):
-    """Setwise block stabilizer C1 and suborbit condition subgroup C2."""
-    center = center_elements(params)
-    eq = params.eq
-    own = block.key()
-    c1 = tuple(
-        z for z in center.elements if _acted_block_key(z, block, eq) == own
-    )
-    steps = _block_steps(block, params)
-    c2 = tuple(
-        z
-        for z in center.elements
-        if all(_z_fixes_cycle(z, rep, step, eq) for rep, step in steps)
-    )
-    return c1, c2
-
-
 def kappa_block(block: BlockSymbol, params: InstanceParams) -> int:
     """Number of SL-blocks covered by this block: |C1 intersect C2|."""
-    eq = params.eq
-    own = block.key()
-    steps = _block_steps(block, params)
-    count = 1
-    for z in center_elements(params).elements[1:]:
-        if _acted_block_key(z, block, eq) == own and all(
-            _z_fixes_cycle(z, rep, step, eq) for rep, step in steps
-        ):
-            count += 1
-    return count
+    (counts,) = block_counts((block,), params)
+    return counts.kappa_b
 
 
 # Weight symbols per block.
@@ -608,7 +572,21 @@ def from_weight_symbol(sym: WeightSymbol, params: InstanceParams) -> AdmissibleS
     return AdmissibleSymbol(tuple(out))
 
 
-# SL-level restriction counts per block.
+# The per-block kernel: the GL counts, the bijection checks and every
+# quantity of the SL descent of one block, from one pass over its labels.
+
+REFUSAL_ELL_TWO = "ell=2 upper bound only"
+REFUSAL_GCD = "ell divides gcd(n, q-eps)"
+
+
+def sl_refusal(params: InstanceParams) -> str | None:
+    """Why the SL-level counts do not cover the instance, or None when they
+    do: they need ell odd and prime to gcd(n, q - eps)."""
+    if params.ell == 2:
+        return REFUSAL_ELL_TWO
+    if math.gcd(params.n, params.q - params.eps) % params.ell == 0:
+        return REFUSAL_GCD
+    return None
 
 
 @dataclass(frozen=True)
@@ -620,80 +598,129 @@ class SlBlockReport:
     weights_per_block: int
 
 
-def _restriction_sum(items, acted_key_fn, kappa_fn, covered, center) -> int:
-    total = 0
-    seen: set = set()
-    for item in items:
-        keys = [acted_key_fn(z, item) for z in center.elements]
-        canon = min(keys)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        quo, rem = divmod(kappa_fn(item), covered)
-        if rem:
-            raise InvariantViolationError(
-                f"stabilizer count {kappa_fn(item)} not divisible by {covered}"
-            )
-        total += quo
-    return total
+class BlockCounts(NamedTuple):
+    """What block_counts finds on one block.
+
+    ibr and weights are the closed-form GL counts of the block.  kappa_b is
+    the number of SL-blocks it covers; is_rep says it is the least of its
+    center orbit.  sl_ibr and sl_weights count Brauer characters and weights
+    per covered SL-block: stabilizer order over kappa_b, summed over the
+    center orbits that meet the block.  kappa_sum adds the stabilizer orders
+    of the symbols that are least in their center orbit.  failed names the
+    checks of verify.run_instance that fail on this block.
+    """
+
+    block: BlockSymbol
+    ibr: int
+    weights: int
+    kappa_b: int
+    is_rep: bool
+    sl_ibr: int
+    sl_weights: int
+    kappa_sum: int
+    failed: set[str]
+
+
+def block_counts(blocks, params: InstanceParams):
+    """Yield one BlockCounts per block, in order: count, restrict to SL and
+    check each block in one pass over its labels.
+
+    The SL quantities are computed whether or not sl_refusal admits the
+    instance; callers decide whether they apply.  Where ell is prime to
+    gcd(n, q - eps) the ell-part of every stabilizer gcd is 1, so the
+    stabilizer order of a symbol is its full kappa.
+    """
+    eq = params.eq
+    zs_rest = center_elements(params).elements[1:]
+    for block in blocks:
+        failed: set[str] = set()
+        nsym = count_symbols_in_block(block, params)
+        nwt = count_weight_symbols_in_block(block, params)
+        if nsym != nwt:
+            failed.add("gl_blockwise_awc")
+        # kappa_b = |C1 intersect C2|: C1 is the setwise stabilizer of the
+        # block in the center, C2 the elements that fix every constraint
+        # suborbit of it.
+        own, fixing, least = _center_orbit(_acted_block_key, block, zs_rest, eq)
+        is_rep = least == own
+        kappa_b = 1
+        if fixing:
+            steps = _block_steps(block, params)
+            for z in fixing:
+                if all(_z_fixes_cycle(z, rep, step, eq) for rep, step in steps):
+                    kappa_b += 1
+
+        # Weight side first: stabilizers keyed by symbol key, so the
+        # bijection checks below can match into them.
+        wt_list = weight_symbols_in_block(block, params)
+        if len(wt_list) != nwt:
+            failed.add("counts_match")
+        wt_stab: dict = {}
+        wt_orbits: dict = {}
+        for w in wt_list:
+            own, fixing, least = _center_orbit(_acted_weight_key, w, zs_rest, eq)
+            stab = wt_stab[own] = 1 + len(fixing)
+            wt_orbits.setdefault(least, stab)
+
+        sym_list = symbols_in_block(block, params)
+        if len(sym_list) != nsym:
+            failed.add("counts_match")
+        sym_orbits: dict = {}
+        kappa_sum = 0
+        for s in sym_list:
+            own, fixing, least = _center_orbit(_acted_admissible_key, s, zs_rest, eq)
+            stab = 1 + len(fixing)
+            sym_orbits.setdefault(least, stab)
+            image = to_weight_symbol(s, params)
+            if from_weight_symbol(image, params) != s:
+                failed.add("bijection_roundtrip")
+            if image.base_triples() != block.triples:
+                failed.add("bijection_block_preserved")
+            if wt_stab.get(image.key()) != stab:
+                failed.add("bijection_kappa_preserved")
+            if least == own:
+                kappa_sum += stab
+                if is_rep and any(
+                    z_act(z, image, params)
+                    != to_weight_symbol(z_act(z, s, params), params)
+                    for z in zs_rest
+                ):
+                    failed.add("bijection_equivariant")
+
+        # kappa_b divides the stabilizer order of every center orbit iff it
+        # divides their gcd; then the quotients below are exact.
+        if math.gcd(*sym_orbits.values(), *wt_orbits.values()) % kappa_b:
+            failed.add("kappa_divisibility")
+        sl_ibr = sum(sym_orbits.values()) // kappa_b
+        sl_weights = sum(wt_orbits.values()) // kappa_b
+        if sl_ibr != sl_weights:
+            failed.add("sl_blockwise_awc")
+        yield BlockCounts(
+            block, nsym, nwt, kappa_b, is_rep, sl_ibr, sl_weights, kappa_sum, failed
+        )
 
 
 def sl_block_report(block: BlockSymbol, params: InstanceParams) -> SlBlockReport:
     """Per block SL-level counts; refuses modes the counts do not cover."""
-    if params.ell == 2:
-        raise UnsupportedModeError("ell=2 upper bound only")
-    if math.gcd(params.n, params.q - params.eps) % params.ell == 0:
-        raise UnsupportedModeError("ell divides gcd(n, q-eps)")
-    covered = kappa_block(block, params)
-    center = center_elements(params)
-    eq = params.eq
-    ibr = _restriction_sum(
-        symbols_in_block(block, params),
-        lambda z, s: _acted_admissible_key(z, s, eq),
-        lambda s: kappa(s, params),
-        covered,
-        center,
-    )
-    wts = _restriction_sum(
-        weight_symbols_in_block(block, params),
-        lambda z, s: _acted_weight_key(z, s, eq),
-        lambda s: kappa_weight(s, params),
-        covered,
-        center,
-    )
-    return SlBlockReport(covered, ibr, wts)
+    refusal = sl_refusal(params)
+    if refusal is not None:
+        raise UnsupportedModeError(refusal)
+    (counts,) = block_counts((block,), params)
+    if "kappa_divisibility" in counts.failed:
+        raise InvariantViolationError(
+            f"a stabilizer order in block {block.key()} is not divisible"
+            f" by kappa_b = {counts.kappa_b}"
+        )
+    return SlBlockReport(counts.kappa_b, counts.sl_ibr, counts.sl_weights)
 
 
 # Serialization.
-
-
-def admissible_to_jsonable(sym: AdmissibleSymbol) -> list[dict]:
-    return [
-        {"orbit": str(orb.rep), "deg": orb.size, "mu": list(mu)}
-        for orb, mu in sym.pairs
-    ]
 
 
 def block_to_jsonable(sym: BlockSymbol) -> list[dict]:
     return [
         {"orbit": str(orb.rep), "deg": orb.size, "m": m, "lambda": list(lam)}
         for orb, m, lam in sym.triples
-    ]
-
-
-def weight_to_jsonable(sym: WeightSymbol) -> list[dict]:
-    return [
-        {
-            "orbit": str(orb.rep),
-            "deg": orb.size,
-            "m": m,
-            "lambda": list(lam),
-            "K": [
-                {"d": d, "k": k, "j": j, "core": list(core)}
-                for (d, k, j), core in func.entries
-            ],
-        }
-        for orb, m, lam, func in sym.tuples
     ]
 
 

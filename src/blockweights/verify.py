@@ -1,15 +1,19 @@
 """Instance level verification runs and deterministic report emission.
 
-run_instance walks every block of one (n, q, eps, ell) instance and records,
-per block, the Brauer character count, the weight count, and the center
-stabilizer data, together with a dictionary of named equality checks:
+run_instance runs the per-block kernel symbols.block_counts on every block of
+one (n, q, eps, ell) instance and records, per block, the Brauer character
+count, the weight count, and the center stabilizer data, together with a
+dictionary of named equality checks:
 
 * gl_blockwise_awc: per block, #Brauer characters == #weight classes;
 * counts_match: closed form counts agree with explicit enumerations;
 * bijection_*: the relabeling between the two families is a bijection on
   each block, preserves stabilizer orders, and commutes with the center;
 * kappa_divisibility, sl_blockwise_awc, sl_global_consistency: the SL-level
-  counts, run only when ell is odd and prime to gcd(n, q - eps).
+  counts, run only when symbols.sl_refusal admits the instance (ell odd and
+  prime to gcd(n, q - eps)).  The first two come from the kernel; the last
+  compares the instance totals sl_block_count and sl_total_ibr, which are
+  sums of the kernel's per-block results.
 
 Reports serialize to JSON or CSV with fully deterministic bytes.
 """
@@ -19,35 +23,32 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 from .arith import InstanceParams
-from .semisimple import center_elements, clear_orbit_caches
+from .semisimple import clear_orbit_caches
 from .symbols import (
     BlockSymbol,
     SlBlockReport,
-    _acted_admissible_key,
-    _acted_block_key,
-    _acted_weight_key,
-    _block_steps,
-    _z_fixes_cycle,
+    block_counts,
     block_to_jsonable,
     clear_symbol_caches,
-    count_symbols_in_block,
-    count_weight_symbols_in_block,
     enumerate_block_symbols,
-    from_weight_symbol,
     is_unipotent_block,
-    symbols_in_block,
-    to_weight_symbol,
-    weight_symbols_in_block,
-    z_act,
+    sl_refusal,
 )
 
-REFUSAL_ELL_TWO = "ell=2 upper bound only"
-REFUSAL_GCD = "ell divides gcd(n, q-eps)"
 REFUSAL_FILTERED = "unipotent-only run"
+
+GL_CHECKS = (
+    "gl_blockwise_awc",
+    "counts_match",
+    "bijection_roundtrip",
+    "bijection_block_preserved",
+    "bijection_kappa_preserved",
+    "bijection_equivariant",
+)
+SL_BLOCK_CHECKS = ("kappa_divisibility", "sl_blockwise_awc")
 
 
 @dataclass(frozen=True)
@@ -73,158 +74,47 @@ class InstanceReport:
         return all(self.checks.values())
 
 
-def _sl_refusal(params: InstanceParams, unipotent_only: bool) -> str | None:
-    if unipotent_only:
-        return REFUSAL_FILTERED
-    if params.ell == 2:
-        return REFUSAL_ELL_TWO
-    if math.gcd(params.n, params.q - params.eps) % params.ell == 0:
-        return REFUSAL_GCD
-    return None
-
-
 def run_instance(
     params: InstanceParams, unipotent_only: bool = False
 ) -> InstanceReport:
-    zs = center_elements(params).elements
-    eq = params.eq
-    refusal = _sl_refusal(params, unipotent_only)
+    refusal = REFUSAL_FILTERED if unipotent_only else sl_refusal(params)
     admitted = refusal is None
     blocks = enumerate_block_symbols(params)
     if unipotent_only:
         blocks = tuple(b for b in blocks if is_unipotent_block(b))
-    checks = {
-        "gl_blockwise_awc": True,
-        "counts_match": True,
-        "bijection_roundtrip": True,
-        "bijection_block_preserved": True,
-        "bijection_kappa_preserved": True,
-        "bijection_equivariant": True,
-    }
-    if admitted:
-        checks["kappa_divisibility"] = True
-        checks["sl_blockwise_awc"] = True
+    checks = dict.fromkeys(GL_CHECKS + (SL_BLOCK_CHECKS if admitted else ()), True)
 
     rows: list[BlockRow] = []
     total_symbols = 0
     total_weights = 0
     sl_block_count = 0
     covered_times_ibr = 0
-    kappa_sum_at_reps = 0
-
-    zs_rest = zs[1:]
-    for block in blocks:
-        nsym = count_symbols_in_block(block, params)
-        nwt = count_weight_symbols_in_block(block, params)
-        if nsym != nwt:
-            checks["gl_blockwise_awc"] = False
-        total_symbols += nsym
-        total_weights += nwt
-        # One pass over the nontrivial center elements gives the covered
-        # count (stabilizer meeting every suborbit condition) and whether
-        # this block is the canonical representative of its center orbit.
-        own_bkey = block.key()
-        steps = _block_steps(block, params)
-        kappa_b = 1
-        is_rep = True
-        for z in zs_rest:
-            bkey = _acted_block_key(z, block, eq)
-            if bkey < own_bkey:
-                is_rep = False
-            if bkey == own_bkey and all(
-                _z_fixes_cycle(z, rep, step, eq) for rep, step in steps
-            ):
-                kappa_b += 1
-
-        # Weight side first: stabilizers keyed by symbol key, so the
-        # bijection checks below can match into them.
-        wt_list = weight_symbols_in_block(block, params)
-        if len(wt_list) != nwt:
-            checks["counts_match"] = False
-        wt_stab: dict = {}
-        wt_restr = 0
-        wt_groups: set = set()
-        for w in wt_list:
-            own_w = w.key()
-            stab_w = 1
-            canon_w = own_w
-            for z in zs_rest:
-                key_w = _acted_weight_key(z, w, eq)
-                if key_w == own_w:
-                    stab_w += 1
-                elif key_w < canon_w:
-                    canon_w = key_w
-            wt_stab[own_w] = stab_w
-            if admitted:
-                if canon_w not in wt_groups:
-                    wt_groups.add(canon_w)
-                    quo, rem = divmod(stab_w, kappa_b)
-                    if rem:
-                        checks["kappa_divisibility"] = False
-                    else:
-                        wt_restr += quo
-
-        sym_list = symbols_in_block(block, params)
-        if len(sym_list) != nsym:
-            checks["counts_match"] = False
-        sym_restr = 0
-        sym_groups: set = set()
-        for s in sym_list:
-            own_s = s.key()
-            stab_s = 1
-            canon_s = own_s
-            for z in zs_rest:
-                key_s = _acted_admissible_key(z, s, eq)
-                if key_s == own_s:
-                    stab_s += 1
-                elif key_s < canon_s:
-                    canon_s = key_s
-            image = to_weight_symbol(s, params)
-            if from_weight_symbol(image, params) != s:
-                checks["bijection_roundtrip"] = False
-            if image.base_triples() != block.triples:
-                checks["bijection_block_preserved"] = False
-            if wt_stab.get(image.key()) != stab_s:
-                checks["bijection_kappa_preserved"] = False
-            if is_rep and canon_s == own_s:
-                for z in zs[1:]:
-                    if z_act(z, image, params) != to_weight_symbol(
-                        z_act(z, s, params), params
-                    ):
-                        checks["bijection_equivariant"] = False
-                        break
-            if admitted:
-                # ell prime to gcd(n, q - eps) forces the ell-part of every
-                # stabilizer gcd to be 1, so stab_s is the full kappa.
-                if canon_s == own_s:
-                    kappa_sum_at_reps += stab_s
-                if canon_s not in sym_groups:
-                    sym_groups.add(canon_s)
-                    quo, rem = divmod(stab_s, kappa_b)
-                    if rem:
-                        checks["kappa_divisibility"] = False
-                    else:
-                        sym_restr += quo
-
+    total_kappa = 0
+    for counts in block_counts(blocks, params):
+        block, ibr, weights, kappa_b, is_rep, sl_ibr, sl_wts, kappa_sum, failed = counts
+        for name in failed:
+            if name in checks:
+                checks[name] = False
+        total_symbols += ibr
+        total_weights += weights
+        total_kappa += kappa_sum
         sl = None
         if admitted:
-            if sym_restr != wt_restr:
-                checks["sl_blockwise_awc"] = False
-            sl = SlBlockReport(kappa_b, sym_restr, wt_restr)
+            sl = SlBlockReport(kappa_b, sl_ibr, sl_wts)
             if is_rep:
                 sl_block_count += kappa_b
-                covered_times_ibr += kappa_b * sym_restr
-        rows.append(BlockRow(block, nsym, nwt, kappa_b, sl))
+                covered_times_ibr += kappa_b * sl_ibr
+        rows.append(BlockRow(block, ibr, weights, kappa_b, sl))
 
     if admitted:
-        checks["sl_global_consistency"] = covered_times_ibr == kappa_sum_at_reps
+        checks["sl_global_consistency"] = covered_times_ibr == total_kappa
 
     totals = {
         "blocks": len(rows),
         "total_symbols": total_symbols,
         "total_weight_symbols": total_weights,
         "sl_block_count": sl_block_count if admitted else None,
-        "sl_total_ibr": kappa_sum_at_reps if admitted else None,
+        "sl_total_ibr": total_kappa if admitted else None,
         "sl_refused": refusal,
     }
     return InstanceReport(params, tuple(rows), checks, totals)

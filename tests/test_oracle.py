@@ -1,6 +1,11 @@
 import pytest
 
+from blockweights import oracle
+from blockweights.arith import make_params, prime_power_decomposition
 from blockweights.errors import ConfigurationError, UnsupportedModeError
+from blockweights.semisimple import center_elements
+from blockweights.symbols import enumerate_admissible_symbols, kappa, z_act
+from blockweights.verify import run_instance
 from blockweights.oracle import (
     TinyField,
     conjugacy_class_reps,
@@ -145,3 +150,45 @@ def test_cross_check_refusals():
         cross_check("SL", 2, 3, 2)
     with pytest.raises(ConfigurationError):
         cross_check("GL", 2, 5, 5)
+    refused = run_instance(make_params(3, 4, 1, 3)).totals["sl_refused"]
+    with pytest.raises(UnsupportedModeError) as info:
+        cross_check("SL", 3, 4, 3)
+    assert str(info.value) == refused == "ell divides gcd(n, q-eps)"
+
+
+def test_cross_check_engine_count_is_the_run_instance_total(monkeypatch):
+    """On the n <= 2 grid the engine count is the run_instance total, and it
+    equals the count from the symbols themselves: all of them for GL/GU, the
+    sum of kappa over center orbit representatives for SL/SU.  The matrix
+    side is stubbed out; the tests above check it."""
+    monkeypatch.setattr(oracle, "enumerate_matrix_group", lambda kind, n, q: (None, ()))
+    monkeypatch.setattr(oracle, "ell_regular_class_count", lambda *args: (0, 0))
+    compared = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        p = prime_power_decomposition(q)[0]
+        for ell in (2, 3, 5, 7):
+            if ell == p:
+                continue
+            for kind, eps in (("GL", 1), ("SL", 1), ("GU", -1), ("SU", -1)):
+                for n in (1, 2):
+                    params = make_params(n, q, eps, ell)
+                    totals = run_instance(params).totals
+                    symbols = enumerate_admissible_symbols(params)
+                    if kind in ("GL", "GU"):
+                        want = totals["total_symbols"]
+                        assert want == len(symbols)
+                    elif totals["sl_refused"] is not None:
+                        with pytest.raises(UnsupportedModeError):
+                            cross_check(kind, n, q, ell)
+                        continue
+                    else:
+                        want = totals["sl_total_ibr"]
+                        zs = center_elements(params).elements
+                        assert want == sum(
+                            kappa(s, params)
+                            for s in symbols
+                            if min(z_act(z, s, params) for z in zs) == s
+                        )
+                    assert cross_check(kind, n, q, ell)["engine_count"] == want
+                    compared += 1
+    assert compared == 152

@@ -2,13 +2,17 @@ import pytest
 
 from blockweights.arith import make_params
 from blockweights.errors import DomainError, UnsupportedModeError
-from blockweights.semisimple import center_elements, orbit_of, root_label
+from blockweights.semisimple import center_act, center_elements, orbit_of, root_label
 from blockweights.weights import core_function
 from blockweights.symbols import (
     AdmissibleSymbol,
     SlBlockReport,
+    _acted_admissible_key,
+    _acted_block_key,
+    _acted_weight_key,
+    _center_orbit,
     admissible_symbol,
-    block_c1_c2,
+    block_counts,
     block_of,
     block_suborbit_set,
     block_symbol,
@@ -23,7 +27,6 @@ from blockweights.symbols import (
     kappa_ell,
     kappa_ellprime,
     kappa_weight,
-    orbit_and_stabilizer,
     sl_block_report,
     symbols_in_block,
     to_weight_symbol,
@@ -34,6 +37,46 @@ from blockweights.symbols import (
 
 P25 = make_params(n=2, q=5, eps=1, ell=3)
 PU22 = make_params(n=2, q=2, eps=-1, ell=5)
+
+# Centers of order 4, 3, 5, 10 and 2; in the last, some center orbits meet
+# a block in more than one label.
+REFERENCE_INSTANCES = (
+    P25,
+    PU22,
+    make_params(n=3, q=4, eps=-1, ell=3),
+    make_params(n=2, q=9, eps=-1, ell=7),
+    make_params(n=4, q=5, eps=-1, ell=3),
+)
+
+
+def orbit_and_stabilizer(sym, params):
+    """Reference: center orbit (sorted) and stabilizer order of any symbol
+    type, from z_act at every center element."""
+    center = center_elements(params)
+    images = {}
+    for z in center.elements:
+        image = z_act(z, sym, params)
+        images.setdefault(image.key(), image)
+    orbit = tuple(sorted(images.values(), key=lambda t: t.key()))
+    stab, rem = divmod(center.order, len(orbit))
+    assert rem == 0
+    return orbit, stab
+
+
+def block_c1_c2(block, params):
+    """Reference: setwise block stabilizer C1 and suborbit condition subgroup
+    C2, from z_act and the constraint suborbit sets."""
+    zs = center_elements(params).elements
+    c1 = tuple(z for z in zs if z_act(z, block, params) == block)
+    subs = [
+        frozenset(block_suborbit_set(o, m, lam, params)) for o, m, lam in block.triples
+    ]
+    c2 = tuple(
+        z
+        for z in zs
+        if all(frozenset(center_act(z, x) for x in sub) == sub for sub in subs)
+    )
+    return c1, c2
 
 
 def orb(num, den, params=P25):
@@ -204,10 +247,55 @@ def test_kappa_block_known():
 
 
 def test_kappa_block_agrees_with_c1_c2():
-    for params in (P25, PU22, make_params(n=3, q=4, eps=-1, ell=3)):
+    for params in REFERENCE_INSTANCES:
         for b in enumerate_block_symbols(params):
             c1, c2 = block_c1_c2(b, params)
             assert kappa_block(b, params) == len(set(c1) & set(c2))
+
+
+def test_block_counts_match_reference_orbits():
+    """The kernel's stabilizer orders, least keys, kappa_b and SL sums equal
+    those of the full z_act orbits and of C1 and C2."""
+    assert [center_elements(p).order for p in REFERENCE_INSTANCES] == [4, 3, 5, 10, 2]
+    families = (
+        (_acted_admissible_key, symbols_in_block),
+        (_acted_weight_key, weight_symbols_in_block),
+    )
+    shared_orbits = 0
+    for params in REFERENCE_INSTANCES:
+        zs_rest = center_elements(params).elements[1:]
+        for b in enumerate_block_symbols(params):
+            orbit, stab = orbit_and_stabilizer(b, params)
+            _, fixing, least = _center_orbit(_acted_block_key, b, zs_rest, params.eq)
+            assert (1 + len(fixing), least) == (stab, orbit[0].key())
+            c1, c2 = block_c1_c2(b, params)
+            kappa_b = len(set(c1) & set(c2))
+            sums = []
+            kappa_sum = 0
+            for acted_key, members in families:
+                per_orbit = {}
+                labels = members(b, params)
+                for s in labels:
+                    s_orbit, s_stab = orbit_and_stabilizer(s, params)
+                    own, fixing, least = _center_orbit(acted_key, s, zs_rest, params.eq)
+                    assert (own, 1 + len(fixing), least) == (
+                        s.key(),
+                        s_stab,
+                        s_orbit[0].key(),
+                    )
+                    per_orbit[s_orbit[0]] = s_stab
+                    if acted_key is _acted_admissible_key and s_orbit[0] == s:
+                        kappa_sum += s_stab
+                shared_orbits += len(per_orbit) < len(labels)
+                assert all(n % kappa_b == 0 for n in per_orbit.values())
+                sums.append(sum(n // kappa_b for n in per_orbit.values()))
+            (counts,) = block_counts((b,), params)
+            assert counts.kappa_b == kappa_b
+            assert counts.is_rep == (orbit[0] == b)
+            assert [counts.sl_ibr, counts.sl_weights] == sums
+            assert counts.kappa_sum == kappa_sum
+            assert not counts.failed
+    assert shared_orbits
 
 
 def test_weight_symbols_per_block_worked_instance():

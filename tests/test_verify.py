@@ -155,6 +155,15 @@ def test_cli_verify_skips_defining_characteristic(capsys):
     assert "skip" in out.err
 
 
+def test_cli_verify_rejects_non_prime_ell(capsys):
+    for q, ell in (("5,7", "1"), ("8", "4")):
+        rc = cli.main(["verify", "--n", "2", "--q", q, "--eps", "+1", "--ell", ell])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert "ell must be prime" in out.err
+        assert "skip" not in out.err
+
+
 def test_cli_verify_rejects_bad_q(capsys):
     rc = cli.main(["verify", "--n", "2", "--q", "6", "--eps", "+1", "--ell", "3"])
     out = capsys.readouterr()
