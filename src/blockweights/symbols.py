@@ -11,10 +11,18 @@ SL-level restriction counts.
 
 Each quantity of the descent to SL_n(eps q) is implemented here, once:
 sl_refusal decides whether the SL counts cover an instance; _center_orbit
-gives the stabilizer order and least acted key of any label (kappa_ellprime,
-kappa_weight); block_counts, the per-block kernel, gives kappa_b =
+gives the stabilizer order and least acted key of any label under a given
+set of central elements (kappa_ellprime, kappa_weight use the whole
+center); block_counts, the per-block kernel, gives kappa_b =
 |C1 intersect C2|, the per-SL-block restriction sums with their
 divisibility and the bijection checks (kappa_block, sl_block_report).
+
+A central element outside the block stabilizer C1 moves every label of a
+block into another block, so the kernel scans the labels of a block under
+C1 only.  The one sum over whole center orbits, the number of Brauer
+characters of SL_n(eps q), is counted by orbit-stabilizer: each label adds
+its squared stabilizer order, and the instance total over the center order
+is the sum of stabilizer orders over center orbits.
 """
 
 from __future__ import annotations
@@ -253,9 +261,13 @@ def _acted_weight_key(z: RootLabel, sym: WeightSymbol, eq: int):
 
 
 def _center_orbit(acted_key, sym, zs_rest, eq: int):
-    """(key of sym, nontrivial center elements fixing sym, least key of its
-    center orbit).  acted_key is the _acted_*_key of the symbol's type and
-    zs_rest the center without its identity, which sorts first."""
+    """(key of sym, the elements of zs_rest fixing sym, least key among sym
+    and its images under zs_rest).  acted_key is the _acted_*_key of the
+    symbol's type and zs_rest a set of nonidentity central elements.  When
+    zs_rest is the center without its identity, the least key is that of the
+    center orbit; when zs_rest and the identity form a subgroup, such as the
+    block stabilizer C1, it is the least key of the orbit under that
+    subgroup."""
     own = sym.key()
     fixing = []
     least = own
@@ -605,9 +617,12 @@ class BlockCounts(NamedTuple):
     the number of SL-blocks it covers; is_rep says it is the least of its
     center orbit.  sl_ibr and sl_weights count Brauer characters and weights
     per covered SL-block: stabilizer order over kappa_b, summed over the
-    center orbits that meet the block.  kappa_sum adds the stabilizer orders
-    of the symbols that are least in their center orbit.  failed names the
-    checks of verify.run_instance that fail on this block.
+    center orbits that meet the block (each meets it in one C1-orbit).
+    stab_sq_sum adds the squared stabilizer order of every symbol of the
+    block; summed over a center-stable set of blocks and divided by the
+    center order, it is the sum of stabilizer orders over center orbits.
+    failed names the checks of verify.run_instance that fail on this
+    block.
     """
 
     block: BlockSymbol
@@ -617,7 +632,7 @@ class BlockCounts(NamedTuple):
     is_rep: bool
     sl_ibr: int
     sl_weights: int
-    kappa_sum: int
+    stab_sq_sum: int
     failed: set[str]
 
 
@@ -641,15 +656,20 @@ def block_counts(blocks, params: InstanceParams):
         # kappa_b = |C1 intersect C2|: C1 is the setwise stabilizer of the
         # block in the center, C2 the elements that fix every constraint
         # suborbit of it.
-        own, fixing, least = _center_orbit(_acted_block_key, block, zs_rest, eq)
+        own, c1_rest, least = _center_orbit(_acted_block_key, block, zs_rest, eq)
         is_rep = least == own
         kappa_b = 1
-        if fixing:
+        if c1_rest:
             steps = _block_steps(block, params)
-            for z in fixing:
+            for z in c1_rest:
                 if all(_z_fixes_cycle(z, rep, step, eq) for rep, step in steps):
                     kappa_b += 1
 
+        # A central element outside C1 moves every label of the block out of
+        # it, so the stabilizer of a label lies in C1 and a center orbit
+        # meets the block in one C1-orbit: the label scans run over C1 only,
+        # and "least" below is least in the C1-orbit.
+        #
         # Weight side first: stabilizers keyed by symbol key, so the
         # bijection checks below can match into them.
         wt_list = weight_symbols_in_block(block, params)
@@ -658,7 +678,7 @@ def block_counts(blocks, params: InstanceParams):
         wt_stab: dict = {}
         wt_orbits: dict = {}
         for w in wt_list:
-            own, fixing, least = _center_orbit(_acted_weight_key, w, zs_rest, eq)
+            own, fixing, least = _center_orbit(_acted_weight_key, w, c1_rest, eq)
             stab = wt_stab[own] = 1 + len(fixing)
             wt_orbits.setdefault(least, stab)
 
@@ -666,11 +686,12 @@ def block_counts(blocks, params: InstanceParams):
         if len(sym_list) != nsym:
             failed.add("counts_match")
         sym_orbits: dict = {}
-        kappa_sum = 0
+        stab_sq_sum = 0
         for s in sym_list:
-            own, fixing, least = _center_orbit(_acted_admissible_key, s, zs_rest, eq)
+            own, fixing, least = _center_orbit(_acted_admissible_key, s, c1_rest, eq)
             stab = 1 + len(fixing)
             sym_orbits.setdefault(least, stab)
+            stab_sq_sum += stab * stab
             image = to_weight_symbol(s, params)
             if from_weight_symbol(image, params) != s:
                 failed.add("bijection_roundtrip")
@@ -678,14 +699,14 @@ def block_counts(blocks, params: InstanceParams):
                 failed.add("bijection_block_preserved")
             if wt_stab.get(image.key()) != stab:
                 failed.add("bijection_kappa_preserved")
-            if least == own:
-                kappa_sum += stab
-                if is_rep and any(
-                    z_act(z, image, params)
-                    != to_weight_symbol(z_act(z, s, params), params)
-                    for z in zs_rest
-                ):
-                    failed.add("bijection_equivariant")
+            # Every center orbit of symbols meets a representative block in
+            # one C1-orbit, so this tests each center orbit at one symbol.
+            if is_rep and least == own and any(
+                z_act(z, image, params)
+                != to_weight_symbol(z_act(z, s, params), params)
+                for z in zs_rest
+            ):
+                failed.add("bijection_equivariant")
 
         # kappa_b divides the stabilizer order of every center orbit iff it
         # divides their gcd; then the quotients below are exact.
@@ -696,7 +717,7 @@ def block_counts(blocks, params: InstanceParams):
         if sl_ibr != sl_weights:
             failed.add("sl_blockwise_awc")
         yield BlockCounts(
-            block, nsym, nwt, kappa_b, is_rep, sl_ibr, sl_weights, kappa_sum, failed
+            block, nsym, nwt, kappa_b, is_rep, sl_ibr, sl_weights, stab_sq_sum, failed
         )
 
 

@@ -13,7 +13,10 @@ dictionary of named equality checks:
   counts, run only when symbols.sl_refusal admits the instance (ell odd and
   prime to gcd(n, q - eps)).  The first two come from the kernel; the last
   compares the instance totals sl_block_count and sl_total_ibr, which are
-  sums of the kernel's per-block results.
+  sums of the kernel's per-block results.  sl_total_ibr, the sum of
+  stabilizer orders over center orbits of symbols, is counted by
+  orbit-stabilizer as the sum of squared stabilizer orders over all symbols
+  divided by the center order; a remainder fails the check.
 
 Reports serialize to JSON or CSV with fully deterministic bytes.
 """
@@ -26,7 +29,7 @@ import json
 from dataclasses import dataclass
 
 from .arith import InstanceParams
-from .semisimple import clear_orbit_caches
+from .semisimple import center_elements, clear_orbit_caches
 from .symbols import (
     BlockSymbol,
     SlBlockReport,
@@ -89,15 +92,15 @@ def run_instance(
     total_weights = 0
     sl_block_count = 0
     covered_times_ibr = 0
-    total_kappa = 0
+    stab_sq_total = 0
     for counts in block_counts(blocks, params):
-        block, ibr, weights, kappa_b, is_rep, sl_ibr, sl_wts, kappa_sum, failed = counts
+        block, ibr, weights, kappa_b, is_rep, sl_ibr, sl_wts, stab_sq, failed = counts
         for name in failed:
             if name in checks:
                 checks[name] = False
         total_symbols += ibr
         total_weights += weights
-        total_kappa += kappa_sum
+        stab_sq_total += stab_sq
         sl = None
         if admitted:
             sl = SlBlockReport(kappa_b, sl_ibr, sl_wts)
@@ -106,8 +109,14 @@ def run_instance(
                 covered_times_ibr += kappa_b * sl_ibr
         rows.append(BlockRow(block, ibr, weights, kappa_b, sl))
 
+    # Orbit-stabilizer: a center orbit of symbols with stabilizer order k has
+    # |Z| / k members, so summing k^2 / |Z| over all symbols gives the sum of
+    # k over the orbits.
+    total_kappa, rem = divmod(stab_sq_total, center_elements(params).order)
     if admitted:
-        checks["sl_global_consistency"] = covered_times_ibr == total_kappa
+        checks["sl_global_consistency"] = (
+            rem == 0 and covered_times_ibr == total_kappa
+        )
 
     totals = {
         "blocks": len(rows),

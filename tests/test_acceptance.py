@@ -35,6 +35,8 @@ from blockweights.symbols import (
 from blockweights.verify import iter_grid, run_instance
 from blockweights.weights import count_core_functions
 
+pytestmark = pytest.mark.slow
+
 GRID_QS = (2, 3, 4, 5, 7, 8, 9)
 GRID_ELLS = (2, 3, 5, 7)
 

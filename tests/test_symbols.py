@@ -1,12 +1,14 @@
 import pytest
 
+from blockweights import symbols
 from blockweights.arith import make_params
-from blockweights.errors import DomainError, UnsupportedModeError
+from blockweights.errors import DomainError, InvariantViolationError, UnsupportedModeError
 from blockweights.semisimple import center_act, center_elements, orbit_of, root_label
 from blockweights.weights import core_function
 from blockweights.symbols import (
     AdmissibleSymbol,
     SlBlockReport,
+    WeightSymbol,
     _acted_admissible_key,
     _acted_block_key,
     _acted_weight_key,
@@ -34,6 +36,7 @@ from blockweights.symbols import (
     weight_symbols_in_block,
     z_act,
 )
+from blockweights.verify import run_instance
 
 P25 = make_params(n=2, q=5, eps=1, ell=3)
 PU22 = make_params(n=2, q=2, eps=-1, ell=5)
@@ -255,7 +258,8 @@ def test_kappa_block_agrees_with_c1_c2():
 
 def test_block_counts_match_reference_orbits():
     """The kernel's stabilizer orders, least keys, kappa_b and SL sums equal
-    those of the full z_act orbits and of C1 and C2."""
+    those of the full z_act orbits and of C1 and C2; its squared stabilizer
+    sums, over the center order, count stabilizers once per center orbit."""
     assert [center_elements(p).order for p in REFERENCE_INSTANCES] == [4, 3, 5, 10, 2]
     families = (
         (_acted_admissible_key, symbols_in_block),
@@ -264,6 +268,8 @@ def test_block_counts_match_reference_orbits():
     shared_orbits = 0
     for params in REFERENCE_INSTANCES:
         zs_rest = center_elements(params).elements[1:]
+        rep_stab_total = 0
+        stab_sq_total = 0
         for b in enumerate_block_symbols(params):
             orbit, stab = orbit_and_stabilizer(b, params)
             _, fixing, least = _center_orbit(_acted_block_key, b, zs_rest, params.eq)
@@ -271,7 +277,7 @@ def test_block_counts_match_reference_orbits():
             c1, c2 = block_c1_c2(b, params)
             kappa_b = len(set(c1) & set(c2))
             sums = []
-            kappa_sum = 0
+            stab_sq_sum = 0
             for acted_key, members in families:
                 per_orbit = {}
                 labels = members(b, params)
@@ -284,8 +290,10 @@ def test_block_counts_match_reference_orbits():
                         s_orbit[0].key(),
                     )
                     per_orbit[s_orbit[0]] = s_stab
-                    if acted_key is _acted_admissible_key and s_orbit[0] == s:
-                        kappa_sum += s_stab
+                    if acted_key is _acted_admissible_key:
+                        stab_sq_sum += s_stab * s_stab
+                        if s_orbit[0] == s:
+                            rep_stab_total += s_stab
                 shared_orbits += len(per_orbit) < len(labels)
                 assert all(n % kappa_b == 0 for n in per_orbit.values())
                 sums.append(sum(n // kappa_b for n in per_orbit.values()))
@@ -293,9 +301,50 @@ def test_block_counts_match_reference_orbits():
             assert counts.kappa_b == kappa_b
             assert counts.is_rep == (orbit[0] == b)
             assert [counts.sl_ibr, counts.sl_weights] == sums
-            assert counts.kappa_sum == kappa_sum
+            assert counts.stab_sq_sum == stab_sq_sum
+            stab_sq_total += counts.stab_sq_sum
             assert not counts.failed
+        assert divmod(stab_sq_total, center_elements(params).order) == (
+            rep_stab_total,
+            0,
+        )
     assert shared_orbits
+
+
+def test_kappa_divisibility_sees_a_planted_stabilizer(monkeypatch):
+    """Counting every element of C1 in C2 makes kappa_b = |C1|, which exceeds
+    the stabilizer of a center orbit meeting a block in two labels; the
+    kernel, run_instance and sl_block_report all report it."""
+    params = make_params(n=4, q=5, eps=-1, ell=3)
+    assert run_instance(params).checks["kappa_divisibility"]
+    monkeypatch.setattr(symbols, "_z_fixes_cycle", lambda *args: True)
+    bad = [
+        counts
+        for counts in block_counts(enumerate_block_symbols(params), params)
+        if "kappa_divisibility" in counts.failed
+    ]
+    assert bad
+    assert run_instance(params).checks["kappa_divisibility"] is False
+    with pytest.raises(InvariantViolationError):
+        sl_block_report(bad[0].block, params)
+
+
+def test_equivariance_check_sees_every_central_element(monkeypatch):
+    """A center action on weight symbols that ignores one element of order 5
+    breaks equivariance; the check scans all of Z, not only C1."""
+    params = make_params(n=2, q=9, eps=-1, ell=7)
+    z5 = root_label(1, 5)
+    assert z5 in center_elements(params).elements
+    assert run_instance(params).checks["bijection_equivariant"]
+    real_z_act = symbols.z_act
+
+    def faulty_z_act(z, sym, params):
+        if z == z5 and isinstance(sym, WeightSymbol):
+            return sym
+        return real_z_act(z, sym, params)
+
+    monkeypatch.setattr(symbols, "z_act", faulty_z_act)
+    assert run_instance(params).checks["bijection_equivariant"] is False
 
 
 def test_weight_symbols_per_block_worked_instance():
