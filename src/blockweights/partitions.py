@@ -30,21 +30,6 @@ def as_partition(parts) -> Partition:
     return mu
 
 
-def format_partition(mu: Partition) -> str:
-    """Render as "[3,1]"; the empty partition renders as "[]"."""
-    return "[" + ",".join(str(part) for part in mu) + "]"
-
-
-def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise DomainError(f"expected [a,b,c], got {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return as_partition(int(x) for x in inner.split(","))
-
-
 def transpose(mu: Partition) -> Partition:
     if not mu:
         return ()

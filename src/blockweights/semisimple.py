@@ -47,12 +47,6 @@ def root_label(num: int, den: int) -> RootLabel:
     return RootLabel(den // g, num // g)
 
 
-def parse_root_label(text: str) -> RootLabel:
-    """Inverse of str(): parse "k/N"."""
-    num_text, _, den_text = text.partition("/")
-    return root_label(int(num_text), int(den_text))
-
-
 class FrobeniusOrbit(NamedTuple):
     """A twist orbit, stored from its canonical representative in twist order."""
 

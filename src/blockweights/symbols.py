@@ -109,9 +109,6 @@ class WeightSymbol(NamedTuple):
     def size(self) -> int:
         return sum(orb.size * m for orb, m, _, _ in self.tuples)
 
-    def base_triples(self) -> tuple[tuple[FrobeniusOrbit, int, Partition], ...]:
-        return tuple((orb, m, lam) for orb, m, lam, _ in self.tuples)
-
 
 def _validate_orbit(orbit: FrobeniusOrbit, params: InstanceParams) -> None:
     den = orbit.rep.den
@@ -641,9 +638,25 @@ def block_counts(blocks, params: InstanceParams):
     check each block in one pass over its labels.
 
     The SL quantities are computed whether or not sl_refusal admits the
-    instance; callers decide whether they apply.  Where ell is prime to
-    gcd(n, q - eps) the ell-part of every stabilizer gcd is 1, so the
-    stabilizer order of a symbol is its full kappa.
+    instance; callers decide whether they apply.  On an admitted instance
+    kappa_ell, the ell-part of a divisor of gcd(n, q - eps), is 1, so the
+    stabilizer order of a symbol is its full kappa
+    (test_symbols::test_kappa_ell_is_one_when_gcd_is_ellprime).
+
+    With to = to_weight_symbol and from = from_weight_symbol, the bijection
+    checks at every symbol s of every block of an instance prove:
+
+    * bijection_roundtrip, from(to(s)) == s: to is injective.
+    * bijection_block_preserved, to(s) is a weight symbol of the block: as
+      the block has as many weight symbols as symbols (counts_match,
+      gl_blockwise_awc), to is onto them and to(from(w)) == w for each.
+    * bijection_kappa_preserved, equal stabilizers in C1: equal in the
+      whole center, since a z fixing a label fixes its block
+      (test_symbols::test_z_act_commutes_with_block_of).
+    * bijection_equivariant, to(z s) == z to(s) for every z at one s per
+      center orbit: at every s' = y s too, as z_act is a group action
+      (test_symbols::test_z_act_is_a_group_action_on_symbols), so
+      to(z s') = to(zy s) = zy to(s) = z to(s').
     """
     eq = params.eq
     zs_rest = center_elements(params).elements[1:]
@@ -695,9 +708,10 @@ def block_counts(blocks, params: InstanceParams):
             image = to_weight_symbol(s, params)
             if from_weight_symbol(image, params) != s:
                 failed.add("bijection_roundtrip")
-            if image.base_triples() != block.triples:
+            image_stab = wt_stab.get(image.key())
+            if image_stab is None:
                 failed.add("bijection_block_preserved")
-            if wt_stab.get(image.key()) != stab:
+            elif image_stab != stab:
                 failed.add("bijection_kappa_preserved")
             # Every center orbit of symbols meets a representative block in
             # one C1-orbit, so this tests each center orbit at one symbol.

@@ -8,7 +8,8 @@ dictionary of named equality checks:
 * gl_blockwise_awc: per block, #Brauer characters == #weight classes;
 * counts_match: closed form counts agree with explicit enumerations;
 * bijection_*: the relabeling between the two families is a bijection on
-  each block, preserves stabilizer orders, and commutes with the center;
+  each block, preserves stabilizer orders, and commutes with the center
+  (symbols.block_counts proves that its per-symbol checks show this);
 * kappa_divisibility, sl_blockwise_awc, sl_global_consistency: the SL-level
   counts, run only when symbols.sl_refusal admits the instance (ell odd and
   prime to gcd(n, q - eps)).  The first two come from the kernel; the last

@@ -1,8 +1,9 @@
 """Acceptance gate: the seven binding criteria, one printed verdict line each.
 
-Criteria 2-4 share one streamed sweep over the full desk grid (n <= 6,
+Criteria 2-4 all read one streamed sweep over the full desk grid (n <= 6,
 q in {2,3,4,5,7,8,9}, eps = +-1, ell in {2,3,5,7} with ell != p), collected
-once per test session by the grid_summary fixture.
+once per test session by the grid_summary fixture from the check flags and
+totals of run_instance; none of them walks blocks or symbols itself.
 """
 
 import math
@@ -20,18 +21,6 @@ from blockweights.arith import (
 from blockweights.errors import ConfigurationError, UnsupportedModeError
 from blockweights.oracle import cross_check
 from blockweights.partitions import all_partitions_upto, count_with_core, is_e_core
-from blockweights.semisimple import center_elements
-from blockweights.symbols import (
-    enumerate_block_symbols,
-    from_weight_symbol,
-    kappa,
-    kappa_ellprime,
-    kappa_weight,
-    symbols_in_block,
-    to_weight_symbol,
-    weight_symbols_in_block,
-    z_act,
-)
 from blockweights.verify import iter_grid, run_instance
 from blockweights.weights import count_core_functions
 
@@ -54,7 +43,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _grid_params(max_n: int):
+def _grid_params():
     out = []
     for q in GRID_QS:
         p = prime_power_decomposition(q)[0]
@@ -62,7 +51,7 @@ def _grid_params(max_n: int):
             if ell == p:
                 continue
             for eps in (1, -1):
-                for n in range(1, max_n + 1):
+                for n in range(1, 7):
                     out.append(make_params(n=n, q=q, eps=eps, ell=ell))
     return out
 
@@ -73,23 +62,22 @@ def grid_summary():
     summary = {
         "instances": 0,
         "blocks": 0,
+        "symbols": 0,
         "gl_failures": [],
-        "bijection_instances_n5": 0,
-        "bijection_failures_n5": [],
+        "bijection_failures": [],
         "admitted": 0,
         "sl_failures": [],
     }
-    for report in iter_grid(_grid_params(6)):
+    for report in iter_grid(_grid_params()):
         p = report.params
         key = (p.n, p.q, p.eps, p.ell)
         summary["instances"] += 1
         summary["blocks"] += report.totals["blocks"]
+        summary["symbols"] += report.totals["total_symbols"]
         if not (report.checks["counts_match"] and report.checks["gl_blockwise_awc"]):
             summary["gl_failures"].append(key)
-        if p.n <= 5:
-            summary["bijection_instances_n5"] += 1
-            if not all(report.checks[c] for c in BIJECTION_CHECKS):
-                summary["bijection_failures_n5"].append(key)
+        if not all(report.checks[c] for c in BIJECTION_CHECKS):
+            summary["bijection_failures"].append(key)
         if report.totals["sl_refused"] is None:
             summary["admitted"] += 1
             if not all(report.checks[c] for c in SL_CHECKS):
@@ -133,46 +121,14 @@ def test_criterion_2_gl_blockwise_awc(grid_summary):
 
 
 def test_criterion_3_bijection(grid_summary):
-    assert not grid_summary["bijection_failures_n5"]
-    start = time.monotonic()
-    checked = 0
-    bad = []
-    for params in _grid_params(5):
-        zs = center_elements(params).elements
-        admitted = params.ell > 2 and math.gcd(params.n, params.q - params.eps) % params.ell != 0
-        instance_ok = True
-        for block in enumerate_block_symbols(params):
-            block_weights = weight_symbols_in_block(block, params)
-            for w in block_weights:
-                if to_weight_symbol(from_weight_symbol(w, params), params) != w:
-                    instance_ok = False
-            weight_set = set(block_weights)
-            for sym in symbols_in_block(block, params):
-                checked += 1
-                image = to_weight_symbol(sym, params)
-                if (
-                    image not in weight_set
-                    or from_weight_symbol(image, params) != sym
-                    or image.base_triples() != block.triples
-                    or kappa_ellprime(sym, params) != kappa_weight(image, params)
-                    or (admitted and kappa(sym, params) != kappa_weight(image, params))
-                    or any(
-                        to_weight_symbol(z_act(z, sym, params), params)
-                        != z_act(z, image, params)
-                        for z in zs[1:]
-                    )
-                ):
-                    instance_ok = False
-        if not instance_ok:
-            bad.append((params.n, params.q, params.eps, params.ell))
-    elapsed = time.monotonic() - start
+    s = grid_summary
     _verdict(
         3,
-        not bad,
-        f"round trips both ways, block and kappa preservation, every-z "
-        f"equivariance on {checked} symbols across {len(_grid_params(5))} "
-        f"instances (n <= 5) in {elapsed:.0f} s"
-        + (f"; failures {bad[:3]}" if bad else ""),
+        not s["bijection_failures"] and s["instances"] == 252,
+        f"block and stabilizer preserving, center equivariant bijection "
+        f"symbols -> weight symbols on {s['symbols']} symbols across "
+        f"{s['instances']} instances"
+        + (f"; first failure {s['bijection_failures'][0]}" if s["bijection_failures"] else ""),
     )
 
 

@@ -18,10 +18,8 @@ from blockweights.partitions import (
     e_weight,
     enumerate_partitions,
     enumerate_with_core,
-    format_partition,
     from_core_quotient,
     is_e_core,
-    parse_partition,
     partition_count,
     partition_from_beta,
     rim_hook_core,
@@ -53,15 +51,6 @@ def test_as_partition_validates():
         as_partition((1, 3))
     with pytest.raises(DomainError):
         as_partition((2, 0))
-
-
-def test_serialization_round_trip():
-    assert format_partition(()) == "[]"
-    assert format_partition((3, 1, 1)) == "[3,1,1]"
-    assert parse_partition("[]") == ()
-    assert parse_partition("[4,2]") == (4, 2)
-    for mu in all_partitions_upto(6):
-        assert parse_partition(format_partition(mu)) == mu
 
 
 def test_transpose_known():

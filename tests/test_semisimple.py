@@ -12,7 +12,6 @@ from blockweights.semisimple import (
     degree_of,
     enumerate_ellprime_orbits,
     orbit_of,
-    parse_root_label,
     root_label,
     suborbit,
     twist,
@@ -34,16 +33,6 @@ def test_root_label_reduces():
     assert root_label(2, 8) == RootLabel(4, 1)
     assert root_label(0, 5) == IDENTITY
     assert root_label(6, 9) == root_label(2, 3)
-
-
-def test_parse_round_trip():
-    for text in ("0/1", "1/2", "3/8", "7/24"):
-        assert str(parse_root_label(text)) == text
-
-
-@given(reduced_fraction())
-def test_str_parse_round_trip(sigma):
-    assert parse_root_label(str(sigma)) == sigma
 
 
 def test_canonical_order_is_den_then_num():

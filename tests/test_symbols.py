@@ -30,6 +30,7 @@ from blockweights.symbols import (
     kappa_ellprime,
     kappa_weight,
     sl_block_report,
+    sl_refusal,
     symbols_in_block,
     to_weight_symbol,
     weight_symbol,
@@ -181,8 +182,23 @@ def test_kappa_ell_known_value():
 
 
 def test_kappa_ell_is_one_when_gcd_is_ellprime():
-    for s in enumerate_admissible_symbols(P25):
-        assert kappa_ell(s, P25) == 1
+    """On an instance sl_refusal admits, kappa_ell = 1, so the full kappa of
+    every symbol is its center stabilizer order and that of its weight
+    symbol; block_counts relies on it."""
+    grid = tuple(
+        make_params(n=n, q=q, eps=eps, ell=ell)
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for ell in (2, 3, 5, 7)
+        if q % ell
+        for eps in (1, -1)
+        for n in (1, 2, 3)
+    )
+    admitted = [p for p in REFERENCE_INSTANCES + grid if sl_refusal(p) is None]
+    assert len(admitted) == 5 + 97
+    for params in admitted:
+        for s in enumerate_admissible_symbols(params):
+            w = to_weight_symbol(s, params)
+            assert kappa(s, params) == kappa_ellprime(s, params) == kappa_weight(w, params)
 
 
 def test_orbit_and_stabilizer_known():
@@ -204,20 +220,32 @@ def test_orbit_stabilizer_product():
 
 
 def test_z_act_is_a_group_action_on_symbols():
-    zs = center_elements(P25).elements
-    for s in enumerate_admissible_symbols(P25):
-        assert z_act(zs[0], s, P25) == s
-        for z1 in zs:
-            for z2 in zs:
-                z12 = root_label(z1.num * z2.den + z2.num * z1.den, z1.den * z2.den)
-                assert z_act(z1, z_act(z2, s, P25), P25) == z_act(z12, s, P25)
+    """On admissible, block and weight symbols; block_counts relies on it to
+    lift equivariance from one symbol per center orbit to every symbol."""
+    for params in REFERENCE_INSTANCES:
+        zs = center_elements(params).elements
+        for b in enumerate_block_symbols(params):
+            labels = (b,) + symbols_in_block(b, params) + weight_symbols_in_block(b, params)
+            for s in labels:
+                assert z_act(zs[0], s, params) == s
+                for z1 in zs:
+                    for z2 in zs:
+                        z12 = root_label(z1.num * z2.den + z2.num * z1.den, z1.den * z2.den)
+                        assert z_act(z1, z_act(z2, s, params), params) == z_act(z12, s, params)
 
 
 def test_z_act_commutes_with_block_of():
-    zs = center_elements(PU22).elements
-    for s in enumerate_admissible_symbols(PU22):
-        for z in zs:
-            assert block_of(z_act(z, s, PU22), PU22) == z_act(z, block_of(s, PU22), PU22)
+    """Taking the block of a symbol or weight symbol commutes with z_act, so
+    a central element fixing a label fixes its block."""
+    for params in REFERENCE_INSTANCES:
+        zs = center_elements(params).elements
+        for b in enumerate_block_symbols(params):
+            for z in zs:
+                zb = z_act(z, b, params)
+                for s in symbols_in_block(b, params):
+                    assert block_of(z_act(z, s, params), params) == zb
+                for w in weight_symbols_in_block(b, params):
+                    assert tuple(t[:3] for t in z_act(z, w, params).tuples) == zb.triples
 
 
 def test_block_suborbit_set_known():
@@ -347,6 +375,54 @@ def test_equivariance_check_sees_every_central_element(monkeypatch):
     assert run_instance(params).checks["bijection_equivariant"] is False
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        "bijection_roundtrip",
+        "bijection_block_preserved",
+        "bijection_kappa_preserved",
+        "counts_match",
+        "gl_blockwise_awc",
+    ],
+)
+def test_gl_check_sees_a_planted_fault(check, monkeypatch):
+    """Each GL check of the kernel turns False in run_instance under a fault
+    it guards against: two symbols of a block sent to one weight symbol; a
+    weight list that repeats one weight symbol and misses another, so an
+    image is no weight symbol of its block; weight symbols that look fixed
+    by no central element; a symbol list one short of the closed form; a
+    closed-form weight count one too high."""
+    unipotent = block_symbol([(orb(0, 1), 2, ())], P25)
+    first, second = symbols_in_block(unipotent, P25)
+    real_to = symbols.to_weight_symbol
+    real_weights = symbols.weight_symbols_in_block
+    real_symbols = symbols.symbols_in_block
+    real_count = symbols.count_weight_symbols_in_block
+    faults = {
+        "bijection_roundtrip": (
+            "to_weight_symbol",
+            lambda s, params: real_to(first if s == second else s, params),
+        ),
+        "bijection_block_preserved": (
+            "weight_symbols_in_block",
+            lambda b, params: real_weights(b, params)[:1]
+            + real_weights(b, params)[:-1],
+        ),
+        "bijection_kappa_preserved": ("_acted_weight_key", lambda z, w, eq: ()),
+        "counts_match": (
+            "symbols_in_block",
+            lambda b, params: real_symbols(b, params)[:-1],
+        ),
+        "gl_blockwise_awc": (
+            "count_weight_symbols_in_block",
+            lambda b, params: real_count(b, params) + 1,
+        ),
+    }
+    assert run_instance(P25).checks[check]
+    monkeypatch.setattr(symbols, *faults[check])
+    assert run_instance(P25).checks[check] is False
+
+
 def test_weight_symbols_per_block_worked_instance():
     blocks = enumerate_block_symbols(P25)
     for b in blocks:
@@ -385,7 +461,7 @@ def test_bijection_round_trip_and_kappa():
             for s in symbols_in_block(b, params):
                 w = to_weight_symbol(s, params)
                 assert from_weight_symbol(w, params) == s
-                assert w.base_triples() == b.triples
+                assert tuple(t[:3] for t in w.tuples) == b.triples
                 assert kappa_ellprime(s, params) == kappa_weight(w, params)
                 images.append(w)
             assert sorted(set(images), key=lambda w: w.key()) == list(weight_symbols_in_block(b, params))
