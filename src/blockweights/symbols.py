@@ -9,6 +9,13 @@ weights) gives the two compressed label families.  The ell'-part of the
 center acts on all three by translating orbits; stabilizer orders drive the
 SL-level restriction counts.
 
+The center action is coded once per level for all three label types.  Every
+key() is a sorted tuple of entries (orbit representative, rest), so z_act
+translates the orbit of each entry and re-sorts, and _acted_key does the
+same on keys without building the label: z_act is the reference,
+_acted_key the fast path the kernel scans with, and the tests tie the two
+(test_symbols::test_z_act_is_a_group_action_on_symbols).
+
 Each quantity of the descent to SL_n(eps q) is implemented here, once:
 sl_refusal decides whether the SL counts cover an instance; _center_orbit
 gives the stabilizer order and least acted key of any label under a given
@@ -80,9 +87,6 @@ class AdmissibleSymbol(NamedTuple):
     def key(self):
         return tuple((orb.rep, mu) for orb, mu in self.pairs)
 
-    def size(self) -> int:
-        return sum(orb.size * sum(mu) for orb, mu in self.pairs)
-
 
 class BlockSymbol(NamedTuple):
     """Triples (orbit, multiplicity, core); labels one ell-block."""
@@ -90,10 +94,7 @@ class BlockSymbol(NamedTuple):
     triples: tuple[tuple[FrobeniusOrbit, int, Partition], ...]
 
     def key(self):
-        return tuple((orb.rep, m, lam) for orb, m, lam in self.triples)
-
-    def size(self) -> int:
-        return sum(orb.size * m for orb, m, _ in self.triples)
+        return tuple((orb.rep, (m, lam)) for orb, m, lam in self.triples)
 
 
 class WeightSymbol(NamedTuple):
@@ -103,11 +104,8 @@ class WeightSymbol(NamedTuple):
 
     def key(self):
         return tuple(
-            (orb.rep, m, lam, func.entries) for orb, m, lam, func in self.tuples
+            (orb.rep, (m, lam, func.entries)) for orb, m, lam, func in self.tuples
         )
-
-    def size(self) -> int:
-        return sum(orb.size * m for orb, m, _, _ in self.tuples)
 
 
 def _validate_orbit(orbit: FrobeniusOrbit, params: InstanceParams) -> None:
@@ -191,85 +189,38 @@ def weight_symbol(tuples_, params: InstanceParams) -> WeightSymbol:
 
 
 def z_act(z: RootLabel, sym, params: InstanceParams):
-    """Translate every orbit of a symbol by the central element z."""
-    if isinstance(sym, AdmissibleSymbol):
-        pairs = tuple(
-            sorted(
-                ((act_on_orbit(z, orb, params), mu) for orb, mu in sym.pairs),
-                key=lambda t: t[0].rep,
-            )
-        )
-        return AdmissibleSymbol(pairs)
-    if isinstance(sym, BlockSymbol):
-        triples = tuple(
-            sorted(
-                ((act_on_orbit(z, orb, params), m, lam) for orb, m, lam in sym.triples),
-                key=lambda t: t[0].rep,
-            )
-        )
-        return BlockSymbol(triples)
-    if isinstance(sym, WeightSymbol):
-        tuples_ = tuple(
-            sorted(
-                (
-                    (act_on_orbit(z, orb, params), m, lam, func)
-                    for orb, m, lam, func in sym.tuples
-                ),
-                key=lambda t: t[0].rep,
-            )
-        )
-        return WeightSymbol(tuples_)
-    raise DomainError(f"cannot act on {type(sym).__name__}")
-
-
-def _acted_admissible_key(z: RootLabel, sym: AdmissibleSymbol, eq: int):
-    pairs = sym.pairs
-    if len(pairs) == 1:
-        orb, mu = pairs[0]
-        return ((_acted_rep(z, orb.rep, eq), mu),)
-    return tuple(
-        sorted([(_acted_rep(z, orb.rep, eq), mu) for orb, mu in pairs])
+    """Translate every orbit of a label by the central element z."""
+    if not isinstance(sym, (AdmissibleSymbol, BlockSymbol, WeightSymbol)):
+        raise DomainError(f"cannot act on {type(sym).__name__}")
+    (entries,) = sym
+    acted = sorted(
+        ((act_on_orbit(z, orb, params), *rest) for orb, *rest in entries),
+        key=lambda t: t[0].rep,
     )
+    return type(sym)(tuple(acted))
 
 
-def _acted_block_key(z: RootLabel, sym: BlockSymbol, eq: int):
-    triples = sym.triples
-    if len(triples) == 1:
-        orb, m, lam = triples[0]
-        return ((_acted_rep(z, orb.rep, eq), m, lam),)
-    return tuple(
-        sorted([(_acted_rep(z, orb.rep, eq), m, lam) for orb, m, lam in triples])
-    )
+def _acted_key(z: RootLabel, key, eq: int):
+    """The key of the z-translate of the label with this key: z_act(z,
+    sym, params).key() from sym.key() alone."""
+    if len(key) == 1:
+        ((rep, rest),) = key
+        return ((_acted_rep(z, rep, eq), rest),)
+    return tuple(sorted([(_acted_rep(z, rep, eq), rest) for rep, rest in key]))
 
 
-def _acted_weight_key(z: RootLabel, sym: WeightSymbol, eq: int):
-    tuples_ = sym.tuples
-    if len(tuples_) == 1:
-        orb, m, lam, func = tuples_[0]
-        return ((_acted_rep(z, orb.rep, eq), m, lam, func.entries),)
-    return tuple(
-        sorted(
-            [
-                (_acted_rep(z, orb.rep, eq), m, lam, func.entries)
-                for orb, m, lam, func in tuples_
-            ]
-        )
-    )
-
-
-def _center_orbit(acted_key, sym, zs_rest, eq: int):
+def _center_orbit(sym, zs_rest, eq: int):
     """(key of sym, the elements of zs_rest fixing sym, least key among sym
-    and its images under zs_rest).  acted_key is the _acted_*_key of the
-    symbol's type and zs_rest a set of nonidentity central elements.  When
-    zs_rest is the center without its identity, the least key is that of the
-    center orbit; when zs_rest and the identity form a subgroup, such as the
-    block stabilizer C1, it is the least key of the orbit under that
-    subgroup."""
+    and its images under zs_rest), for a label of any type.  zs_rest is a
+    set of nonidentity central elements.  When zs_rest is the center
+    without its identity, the least key is that of the center orbit; when
+    zs_rest and the identity form a subgroup, such as the block stabilizer
+    C1, it is the least key of the orbit under that subgroup."""
     own = sym.key()
     fixing = []
     least = own
     for z in zs_rest:
-        key = acted_key(z, sym, eq)
+        key = _acted_key(z, own, eq)
         if key == own:
             fixing.append(z)
         elif key < least:
@@ -277,10 +228,11 @@ def _center_orbit(acted_key, sym, zs_rest, eq: int):
     return own, fixing, least
 
 
-def kappa_ellprime(sym: AdmissibleSymbol, params: InstanceParams) -> int:
-    """Order of the stabilizer of the symbol in the ell'-part of the center."""
+def kappa_ellprime(sym, params: InstanceParams) -> int:
+    """Order of the stabilizer of an admissible or weight symbol in the
+    ell'-part of the center."""
     zs_rest = center_elements(params).elements[1:]
-    return 1 + len(_center_orbit(_acted_admissible_key, sym, zs_rest, params.eq)[1])
+    return 1 + len(_center_orbit(sym, zs_rest, params.eq)[1])
 
 
 def kappa_ell(sym: AdmissibleSymbol, params: InstanceParams) -> int:
@@ -296,10 +248,8 @@ def kappa(sym: AdmissibleSymbol, params: InstanceParams) -> int:
     return kappa_ell(sym, params) * kappa_ellprime(sym, params)
 
 
-def kappa_weight(sym: WeightSymbol, params: InstanceParams) -> int:
-    """Stabilizer order of a weight symbol in the ell'-part of the center."""
-    zs_rest = center_elements(params).elements[1:]
-    return 1 + len(_center_orbit(_acted_weight_key, sym, zs_rest, params.eq)[1])
+# The stabilizer order of a weight symbol, by the same scan.
+kappa_weight = kappa_ellprime
 
 
 # Blocks.
@@ -656,7 +606,9 @@ def block_counts(blocks, params: InstanceParams):
     * bijection_equivariant, to(z s) == z to(s) for every z at one s per
       center orbit: at every s' = y s too, as z_act is a group action
       (test_symbols::test_z_act_is_a_group_action_on_symbols), so
-      to(z s') = to(zy s) = zy to(s) = z to(s').
+      to(z s') = to(zy s) = zy to(s) = z to(s').  The check compares keys,
+      with z to(s) acted on by _acted_key; the same test shows that
+      _acted_key gives the key of z_act on every label.
     """
     eq = params.eq
     zs_rest = center_elements(params).elements[1:]
@@ -669,7 +621,7 @@ def block_counts(blocks, params: InstanceParams):
         # kappa_b = |C1 intersect C2|: C1 is the setwise stabilizer of the
         # block in the center, C2 the elements that fix every constraint
         # suborbit of it.
-        own, c1_rest, least = _center_orbit(_acted_block_key, block, zs_rest, eq)
+        own, c1_rest, least = _center_orbit(block, zs_rest, eq)
         is_rep = least == own
         kappa_b = 1
         if c1_rest:
@@ -691,7 +643,7 @@ def block_counts(blocks, params: InstanceParams):
         wt_stab: dict = {}
         wt_orbits: dict = {}
         for w in wt_list:
-            own, fixing, least = _center_orbit(_acted_weight_key, w, c1_rest, eq)
+            own, fixing, least = _center_orbit(w, c1_rest, eq)
             stab = wt_stab[own] = 1 + len(fixing)
             wt_orbits.setdefault(least, stab)
 
@@ -701,23 +653,26 @@ def block_counts(blocks, params: InstanceParams):
         sym_orbits: dict = {}
         stab_sq_sum = 0
         for s in sym_list:
-            own, fixing, least = _center_orbit(_acted_admissible_key, s, c1_rest, eq)
+            own, fixing, least = _center_orbit(s, c1_rest, eq)
             stab = 1 + len(fixing)
             sym_orbits.setdefault(least, stab)
             stab_sq_sum += stab * stab
             image = to_weight_symbol(s, params)
             if from_weight_symbol(image, params) != s:
                 failed.add("bijection_roundtrip")
-            image_stab = wt_stab.get(image.key())
+            image_key = image.key()
+            image_stab = wt_stab.get(image_key)
             if image_stab is None:
                 failed.add("bijection_block_preserved")
             elif image_stab != stab:
                 failed.add("bijection_kappa_preserved")
             # Every center orbit of symbols meets a representative block in
             # one C1-orbit, so this tests each center orbit at one symbol.
+            # The weight side acts on keys, the symbol side through z_act,
+            # so each comparison also checks _acted_key against z_act.
             if is_rep and least == own and any(
-                z_act(z, image, params)
-                != to_weight_symbol(z_act(z, s, params), params)
+                _acted_key(z, image_key, eq)
+                != to_weight_symbol(z_act(z, s, params), params).key()
                 for z in zs_rest
             ):
                 failed.add("bijection_equivariant")

@@ -36,12 +36,6 @@ class CoreFunction:
 
     entries: tuple[tuple[SlotIndex, Partition], ...]
 
-    def value_at(self, slot: SlotIndex) -> Partition:
-        for s, core in self.entries:
-            if s == slot:
-                return core
-        return ()
-
     def weighted_size(self, ell: int) -> int:
         return sum(ell ** s[0] * sum(core) for s, core in self.entries)
 

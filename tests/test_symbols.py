@@ -8,10 +8,7 @@ from blockweights.weights import core_function
 from blockweights.symbols import (
     AdmissibleSymbol,
     SlBlockReport,
-    WeightSymbol,
-    _acted_admissible_key,
-    _acted_block_key,
-    _acted_weight_key,
+    _acted_key,
     _center_orbit,
     admissible_symbol,
     block_counts,
@@ -221,7 +218,9 @@ def test_orbit_stabilizer_product():
 
 def test_z_act_is_a_group_action_on_symbols():
     """On admissible, block and weight symbols; block_counts relies on it to
-    lift equivariance from one symbol per center orbit to every symbol."""
+    lift equivariance from one symbol per center orbit to every symbol.  The
+    key-level action _acted_key, which the kernel scans with and checks
+    equivariance by, gives the key of z_act on every label."""
     for params in REFERENCE_INSTANCES:
         zs = center_elements(params).elements
         for b in enumerate_block_symbols(params):
@@ -229,6 +228,7 @@ def test_z_act_is_a_group_action_on_symbols():
             for s in labels:
                 assert z_act(zs[0], s, params) == s
                 for z1 in zs:
+                    assert _acted_key(z1, s.key(), params.eq) == z_act(z1, s, params).key()
                     for z2 in zs:
                         z12 = root_label(z1.num * z2.den + z2.num * z1.den, z1.den * z2.den)
                         assert z_act(z1, z_act(z2, s, params), params) == z_act(z12, s, params)
@@ -289,10 +289,6 @@ def test_block_counts_match_reference_orbits():
     those of the full z_act orbits and of C1 and C2; its squared stabilizer
     sums, over the center order, count stabilizers once per center orbit."""
     assert [center_elements(p).order for p in REFERENCE_INSTANCES] == [4, 3, 5, 10, 2]
-    families = (
-        (_acted_admissible_key, symbols_in_block),
-        (_acted_weight_key, weight_symbols_in_block),
-    )
     shared_orbits = 0
     for params in REFERENCE_INSTANCES:
         zs_rest = center_elements(params).elements[1:]
@@ -300,25 +296,25 @@ def test_block_counts_match_reference_orbits():
         stab_sq_total = 0
         for b in enumerate_block_symbols(params):
             orbit, stab = orbit_and_stabilizer(b, params)
-            _, fixing, least = _center_orbit(_acted_block_key, b, zs_rest, params.eq)
+            _, fixing, least = _center_orbit(b, zs_rest, params.eq)
             assert (1 + len(fixing), least) == (stab, orbit[0].key())
             c1, c2 = block_c1_c2(b, params)
             kappa_b = len(set(c1) & set(c2))
             sums = []
             stab_sq_sum = 0
-            for acted_key, members in families:
+            for members in (symbols_in_block, weight_symbols_in_block):
                 per_orbit = {}
                 labels = members(b, params)
                 for s in labels:
                     s_orbit, s_stab = orbit_and_stabilizer(s, params)
-                    own, fixing, least = _center_orbit(acted_key, s, zs_rest, params.eq)
+                    own, fixing, least = _center_orbit(s, zs_rest, params.eq)
                     assert (own, 1 + len(fixing), least) == (
                         s.key(),
                         s_stab,
                         s_orbit[0].key(),
                     )
                     per_orbit[s_orbit[0]] = s_stab
-                    if acted_key is _acted_admissible_key:
+                    if members is symbols_in_block:
                         stab_sq_sum += s_stab * s_stab
                         if s_orbit[0] == s:
                             rep_stab_total += s_stab
@@ -357,21 +353,31 @@ def test_kappa_divisibility_sees_a_planted_stabilizer(monkeypatch):
         sl_block_report(bad[0].block, params)
 
 
+def weight_keys(params):
+    """The keys of every weight symbol of an instance."""
+    return {
+        w.key()
+        for b in enumerate_block_symbols(params)
+        for w in weight_symbols_in_block(b, params)
+    }
+
+
 def test_equivariance_check_sees_every_central_element(monkeypatch):
-    """A center action on weight symbols that ignores one element of order 5
-    breaks equivariance; the check scans all of Z, not only C1."""
+    """A center action on weight symbol keys that ignores one element of
+    order 5 breaks equivariance; the check scans all of Z, not only C1."""
     params = make_params(n=2, q=9, eps=-1, ell=7)
     z5 = root_label(1, 5)
     assert z5 in center_elements(params).elements
     assert run_instance(params).checks["bijection_equivariant"]
-    real_z_act = symbols.z_act
+    real_acted_key = symbols._acted_key
+    weights = weight_keys(params)
 
-    def faulty_z_act(z, sym, params):
-        if z == z5 and isinstance(sym, WeightSymbol):
-            return sym
-        return real_z_act(z, sym, params)
+    def faulty_acted_key(z, key, eq):
+        if z == z5 and key in weights:
+            return key
+        return real_acted_key(z, key, eq)
 
-    monkeypatch.setattr(symbols, "z_act", faulty_z_act)
+    monkeypatch.setattr(symbols, "_acted_key", faulty_acted_key)
     assert run_instance(params).checks["bijection_equivariant"] is False
 
 
@@ -398,6 +404,8 @@ def test_gl_check_sees_a_planted_fault(check, monkeypatch):
     real_weights = symbols.weight_symbols_in_block
     real_symbols = symbols.symbols_in_block
     real_count = symbols.count_weight_symbols_in_block
+    real_acted_key = symbols._acted_key
+    weights = weight_keys(P25)
     faults = {
         "bijection_roundtrip": (
             "to_weight_symbol",
@@ -408,7 +416,10 @@ def test_gl_check_sees_a_planted_fault(check, monkeypatch):
             lambda b, params: real_weights(b, params)[:1]
             + real_weights(b, params)[:-1],
         ),
-        "bijection_kappa_preserved": ("_acted_weight_key", lambda z, w, eq: ()),
+        "bijection_kappa_preserved": (
+            "_acted_key",
+            lambda z, key, eq: () if key in weights else real_acted_key(z, key, eq),
+        ),
         "counts_match": (
             "symbols_in_block",
             lambda b, params: real_symbols(b, params)[:-1],

@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from blockweights import cli
-from blockweights.arith import make_params
+from blockweights.arith import make_params, prime_power_decomposition
 from blockweights.errors import ConfigurationError
 from blockweights.verify import (
     iter_grid,
@@ -125,6 +126,30 @@ def test_grid_runner_orders_and_streams():
     assert [order_key(r) for r in streamed] == keys
     assert reports_to_json(reports) == reports_to_json(streamed)
 
+
+
+def test_grid_report_bytes_are_pinned():
+    """The JSON and CSV reports of the n <= 3 grid (126 instances) have
+    fixed bytes: a refactor of the labels, their keys or the kernel must
+    keep them."""
+    grid = [
+        make_params(n=n, q=q, eps=eps, ell=ell)
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for ell in (2, 3, 5, 7)
+        if ell != prime_power_decomposition(q)[0]
+        for eps in (1, -1)
+        for n in (1, 2, 3)
+    ]
+    reports = run_grid(grid)
+    assert len(reports) == 126
+    digests = [
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (reports_to_json(reports), reports_to_csv(reports))
+    ]
+    assert digests == [
+        "b4e1dc85e371a451cc79e00d1e2578cd87dca2bd2ec8e40c2b1fc9d3271e2b6d",
+        "bb05c3c838321d9ddb00ca43c9eb5a9b19ae5e24d470443738583a6a97ae79c1",
+    ]
 
 def test_cli_verify_exit_zero(capsys):
     rc = cli.main(["verify", "--n", "2", "--q", "5", "--eps", "+1", "--ell", "3"])
