@@ -52,6 +52,8 @@ def _parse_eps_list(text: str) -> list[int]:
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
+        if not token:
+            continue
         if token in ("+1", "1"):
             value = 1
         elif token == "-1":
@@ -60,6 +62,8 @@ def _parse_eps_list(text: str) -> list[int]:
             raise ConfigurationError(f"eps must be +1 or -1, got {token!r}")
         if value not in out:
             out.append(value)
+    if not out:
+        raise ConfigurationError("empty --eps list")
     return out
 
 

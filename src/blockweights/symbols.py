@@ -30,6 +30,13 @@ C1 only.  The one sum over whole center orbits, the number of Brauer
 characters of SL_n(eps q), is counted by orbit-stabilizer: each label adds
 its squared stabilizer order, and the instance total over the center order
 is the sum of stabilizer orders over center orbits.
+
+The kernel acts on blocks once per center orbit.  The first block of an
+orbit among those passed is acted on by every nontrivial central element;
+the elements that fix its key form C1, and the keys of the other members
+are kept with that C1 until those blocks come.  As the center is abelian,
+C1 is the same for every block of the orbit, so the later ones take it
+without acting, and only the first is the orbit's representative.
 """
 
 from __future__ import annotations
@@ -215,7 +222,9 @@ def _center_orbit(sym, zs_rest, eq: int):
     set of nonidentity central elements.  When zs_rest is the center
     without its identity, the least key is that of the center orbit; when
     zs_rest and the identity form a subgroup, such as the block stabilizer
-    C1, it is the least key of the orbit under that subgroup."""
+    C1, it is the least key of the orbit under that subgroup.  block_counts
+    calls it only on symbols and weight symbols, under C1; it scans blocks
+    itself, once per center orbit."""
     own = sym.key()
     fixing = []
     least = own
@@ -561,10 +570,13 @@ class BlockCounts(NamedTuple):
     """What block_counts finds on one block.
 
     ibr and weights are the closed-form GL counts of the block.  kappa_b is
-    the number of SL-blocks it covers; is_rep says it is the least of its
-    center orbit.  sl_ibr and sl_weights count Brauer characters and weights
-    per covered SL-block: stabilizer order over kappa_b, summed over the
-    center orbits that meet the block (each meets it in one C1-orbit).
+    the number of SL-blocks it covers; is_rep says it is the first block of
+    its center orbit among the blocks passed to block_counts, which on the
+    sorted, center-stable block list of run_instance is the least of the
+    orbit, and on a single block is always True.  sl_ibr and sl_weights
+    count Brauer characters and weights per covered SL-block: stabilizer
+    order over kappa_b, summed over the center orbits that meet the block
+    (each meets it in one C1-orbit).
     stab_sq_sum adds the squared stabilizer order of every symbol of the
     block; summed over a center-stable set of blocks and divided by the
     center order, it is the sum of stabilizer orders over center orbits.
@@ -604,14 +616,18 @@ def block_counts(blocks, params: InstanceParams):
       whole center, since a z fixing a label fixes its block
       (test_symbols::test_z_act_commutes_with_block_of).
     * bijection_equivariant, to(z s) == z to(s) for every z at one s per
-      center orbit: at every s' = y s too, as z_act is a group action
-      (test_symbols::test_z_act_is_a_group_action_on_symbols), so
+      center orbit of symbols that meets a block passed (at the first block
+      of the block's center orbit): at every s' = y s too, as z_act is a
+      group action (test_symbols::test_z_act_is_a_group_action_on_symbols), so
       to(z s') = to(zy s) = zy to(s) = z to(s').  The check compares keys,
       with z to(s) acted on by _acted_key; the same test shows that
       _acted_key gives the key of z_act on every label.
     """
     eq = params.eq
     zs_rest = center_elements(params).elements[1:]
+    # The keys of the center orbit members of blocks already met that are
+    # still to come, each mapped to the C1 list of its orbit.
+    pending: dict = {}
     for block in blocks:
         failed: set[str] = set()
         nsym = count_symbols_in_block(block, params)
@@ -620,9 +636,21 @@ def block_counts(blocks, params: InstanceParams):
             failed.add("gl_blockwise_awc")
         # kappa_b = |C1 intersect C2|: C1 is the setwise stabilizer of the
         # block in the center, C2 the elements that fix every constraint
-        # suborbit of it.
-        own, c1_rest, least = _center_orbit(block, zs_rest, eq)
-        is_rep = least == own
+        # suborbit of it.  The center is abelian, so C1(z B) = C1(B): the
+        # first block of each center orbit acts with every z once and
+        # leaves C1 under the keys of the other members; they read it there.
+        own = block.key()
+        is_rep = own not in pending
+        if is_rep:
+            c1_rest = []
+            for z in zs_rest:
+                key = _acted_key(z, own, eq)
+                if key == own:
+                    c1_rest.append(z)
+                else:
+                    pending[key] = c1_rest
+        else:
+            c1_rest = pending.pop(own)
         kappa_b = 1
         if c1_rest:
             steps = _block_steps(block, params)
@@ -666,8 +694,10 @@ def block_counts(blocks, params: InstanceParams):
                 failed.add("bijection_block_preserved")
             elif image_stab != stab:
                 failed.add("bijection_kappa_preserved")
-            # Every center orbit of symbols meets a representative block in
-            # one C1-orbit, so this tests each center orbit at one symbol.
+            # Every center orbit of symbols that meets a block passed meets
+            # the first block of that block's center orbit, the one with
+            # is_rep, in one C1-orbit, so this tests each such center orbit
+            # of symbols at one symbol.
             # The weight side acts on keys, the symbol side through z_act,
             # so each comparison also checks _acted_key against z_act.
             if is_rep and least == own and any(

@@ -287,14 +287,19 @@ def test_kappa_block_agrees_with_c1_c2():
 def test_block_counts_match_reference_orbits():
     """The kernel's stabilizer orders, least keys, kappa_b and SL sums equal
     those of the full z_act orbits and of C1 and C2; its squared stabilizer
-    sums, over the center order, count stabilizers once per center orbit."""
+    sums, over the center order, count stabilizers once per center orbit.
+    The kernel runs on each block alone and over the sorted block list of
+    the instance, where the later blocks of a center orbit take C1 from
+    the first and only the least block is the representative."""
     assert [center_elements(p).order for p in REFERENCE_INSTANCES] == [4, 3, 5, 10, 2]
     shared_orbits = 0
     for params in REFERENCE_INSTANCES:
         zs_rest = center_elements(params).elements[1:]
         rep_stab_total = 0
         stab_sq_total = 0
-        for b in enumerate_block_symbols(params):
+        blocks = enumerate_block_symbols(params)
+        swept = dict(zip(blocks, block_counts(blocks, params)))
+        for b in blocks:
             orbit, stab = orbit_and_stabilizer(b, params)
             _, fixing, least = _center_orbit(b, zs_rest, params.eq)
             assert (1 + len(fixing), least) == (stab, orbit[0].key())
@@ -321,18 +326,42 @@ def test_block_counts_match_reference_orbits():
                 shared_orbits += len(per_orbit) < len(labels)
                 assert all(n % kappa_b == 0 for n in per_orbit.values())
                 sums.append(sum(n // kappa_b for n in per_orbit.values()))
-            (counts,) = block_counts((b,), params)
-            assert counts.kappa_b == kappa_b
-            assert counts.is_rep == (orbit[0] == b)
-            assert [counts.sl_ibr, counts.sl_weights] == sums
-            assert counts.stab_sq_sum == stab_sq_sum
-            stab_sq_total += counts.stab_sq_sum
-            assert not counts.failed
+            (alone,) = block_counts((b,), params)
+            assert alone.is_rep
+            assert swept[b].is_rep == (orbit[0] == b)
+            for counts in (alone, swept[b]):
+                assert counts.block == b
+                assert counts.kappa_b == kappa_b
+                assert [counts.sl_ibr, counts.sl_weights] == sums
+                assert counts.stab_sq_sum == stab_sq_sum
+                assert not counts.failed
+            stab_sq_total += swept[b].stab_sq_sum
         assert divmod(stab_sq_total, center_elements(params).order) == (
             rep_stab_total,
             0,
         )
     assert shared_orbits
+
+
+def test_block_counts_follow_the_input_order_and_subset():
+    """On the reversed block list and on the unipotent blocks alone, each
+    block gets the counts of the sorted sweep, and the representatives are
+    the first block of each center orbit that meets the input."""
+    for params in REFERENCE_INSTANCES:
+        blocks = enumerate_block_symbols(params)
+        swept = {counts.block: counts for counts in block_counts(blocks, params)}
+        unipotent = [b for b in blocks if is_unipotent_block(b)]
+        for given in (blocks[::-1], unipotent):
+            results = list(block_counts(given, params))
+            assert [counts.block for counts in results] == list(given)
+            seen = set()
+            for counts in results:
+                orbit_key = orbit_and_stabilizer(counts.block, params)[0][0].key()
+                assert counts.is_rep == (orbit_key not in seen)
+                seen.add(orbit_key)
+                assert counts._replace(is_rep=None) == swept[
+                    counts.block
+                ]._replace(is_rep=None)
 
 
 def test_kappa_divisibility_sees_a_planted_stabilizer(monkeypatch):

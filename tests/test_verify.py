@@ -189,6 +189,19 @@ def test_cli_verify_rejects_non_prime_ell(capsys):
         assert "skip" not in out.err
 
 
+def test_cli_verify_eps_list_skips_empty_tokens(capsys):
+    """A trailing comma is accepted in --eps as in --q; a list with no sign
+    left is rejected."""
+    rc = cli.main(["verify", "--n", "2", "--q", "5,", "--eps", "+1,", "--ell", "3"])
+    out = capsys.readouterr()
+    assert rc == 0
+    assert [r["instance"]["eps"] for r in json.loads(out.out)] == [1]
+    rc = cli.main(["verify", "--n", "2", "--q", "5", "--eps", " , ", "--ell", "3"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert "empty --eps list" in out.err
+
+
 def test_cli_verify_rejects_bad_q(capsys):
     rc = cli.main(["verify", "--n", "2", "--q", "6", "--eps", "+1", "--ell", "3"])
     out = capsys.readouterr()
