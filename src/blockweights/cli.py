@@ -1,8 +1,9 @@
 """Command line front end.
 
-verify: enumerate and check a grid of (n, q, eps, ell) instances, emitting a
-JSON or CSV report.  oracle: compare the symbolic count against the brute
-force matrix group on one small instance.
+verify: enumerate and check a grid of (n, q, eps, ell) instances, printing
+each instance's ok/FAIL verdict on stderr as it finishes, then emit a JSON or
+CSV report in (n, q, eps, ell) order.  oracle: compare the symbolic count
+against the brute force matrix group on one small instance.
 
 Exit codes: 0 all checks passed, 1 a check or internal invariant failed,
 2 the request itself was invalid or unsupported.
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .oracle import cross_check
-from .verify import reports_to_csv, reports_to_json, run_grid
+from .verify import iter_grid, report_order, reports_to_csv, reports_to_json
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -124,28 +125,37 @@ def _cmd_verify(args) -> int:
                     param_list.append(make_params(n, q, eps, ell))
     if not param_list:
         raise ConfigurationError("the parameter grid is empty")
-    reports = run_grid(param_list, unipotent_only=args.unipotent_only)
-    text = (
-        reports_to_json(reports)
-        if args.format == "json"
-        else reports_to_csv(reports)
-    )
+    out = sys.stdout
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    failed = 0
-    for report in reports:
-        p = report.params
-        status = "ok" if report.all_passed else "FAIL"
-        if not report.all_passed:
-            failed += 1
-        print(
-            f"{status}: n={p.n} q={p.q} eps={p.eps:+d} ell={p.ell}"
-            f" blocks={report.totals['blocks']}",
-            file=sys.stderr,
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot write {args.out}: {exc.strerror or exc}"
+            ) from None
+    try:
+        reports = []
+        failed = 0
+        for report in iter_grid(param_list, unipotent_only=args.unipotent_only):
+            p = report.params
+            status = "ok" if report.all_passed else "FAIL"
+            if not report.all_passed:
+                failed += 1
+            print(
+                f"{status}: n={p.n} q={p.q} eps={p.eps:+d} ell={p.ell}"
+                f" blocks={report.totals['blocks']}",
+                file=sys.stderr,
+            )
+            reports.append(report)
+        reports.sort(key=report_order)
+        out.write(
+            reports_to_json(reports)
+            if args.format == "json"
+            else reports_to_csv(reports)
         )
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return 1 if failed else 0
 
 

@@ -19,7 +19,12 @@ dictionary of named equality checks:
   orbit-stabilizer as the sum of squared stabilizer orders over all symbols
   divided by the center order; a remainder fails the check.
 
-Reports serialize to JSON or CSV with fully deterministic bytes.
+Reports serialize to JSON or CSV with fully deterministic bytes.  The JSON
+layout is written out by hand in reports_to_json and its templates, straight
+from the report rows.  Its bytes equal json.dumps(..., indent=2,
+sort_keys=True) + "\n" of the nested dicts that report_to_jsonable, the
+reference kept in tests/test_verify.py, builds; with an indent json.dumps runs
+its pure-Python encoder, several times slower.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .arith import InstanceParams
 from .semisimple import center_elements, clear_orbit_caches
@@ -144,51 +150,124 @@ def iter_grid(param_list, unipotent_only: bool = False):
         clear_symbol_caches()
 
 
+def report_order(report: InstanceReport) -> tuple[int, int, int, int]:
+    """Sort key of the reports of a grid: (n, q, eps, ell)."""
+    p = report.params
+    return (p.n, p.q, p.eps, p.ell)
+
+
 def run_grid(
     param_list, unipotent_only: bool = False
 ) -> tuple[InstanceReport, ...]:
-    """All grid reports, sorted by (n, q, eps, ell); retains every row, so
-    keep the grid at desk scale or consume iter_grid instead."""
-    reports = sorted(
-        iter_grid(param_list, unipotent_only),
-        key=lambda r: (r.params.n, r.params.q, r.params.eps, r.params.ell),
-    )
-    return tuple(reports)
+    """All grid reports in report_order; retains every row, so keep the grid
+    at desk scale or consume iter_grid instead."""
+    return tuple(sorted(iter_grid(param_list, unipotent_only), key=report_order))
 
 
-def report_to_jsonable(report: InstanceReport) -> dict:
+# The JSON layout of a report: keys in sorted order at indent 2, ints written
+# with %d, strings with the C string encoder json.dumps itself uses.
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded items, opened on a line indented by indent."""
+    if not items:
+        return "[]"
+    sep = "\n" + indent + "  "
+    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
+
+
+def _json_dict(d: dict, indent: str) -> str:
+    """A small dict, opened on a line indented by indent; a JSON string holds
+    no raw newline, so every newline in the text is layout."""
+    return json.dumps(d, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+_TRIPLE = (
+    "{\n"
+    '            "deg": %d,\n'
+    '            "lambda": %s,\n'
+    '            "m": %d,\n'
+    '            "orbit": %s\n'
+    "          }"
+)
+_SL = (
+    "{\n"
+    '          "covered": %d,\n'
+    '          "ibr_per_block": %d,\n'
+    '          "weights_per_block": %d\n'
+    "        }"
+)
+_SL_REFUSED = '{\n          "refused": %s\n        }'
+_BLOCK = (
+    "%s{\n"
+    '        "ibr": %d,\n'
+    '        "kappa_b": %d,\n'
+    '        "label": %s,\n'
+    '        "sl": %s,\n'
+    '        "weights": %d\n'
+    "      }"
+)
+_REPORT_TAIL = (
+    ",\n"
+    '    "checks": %s,\n'
+    '    "instance": %s,\n'
+    '    "totals": %s\n'
+    "  }"
+)
+
+
+def _label_json(block: BlockSymbol, triple_json: dict) -> str:
+    items = []
+    for triple in block.triples:
+        text = triple_json.get(triple)
+        if text is None:
+            orb, m, lam = triple
+            text = triple_json[triple] = _TRIPLE % (
+                orb.size,
+                _json_array([str(part) for part in lam], " " * 12),
+                m,
+                encode_basestring_ascii(str(orb.rep)),
+            )
+        items.append(text)
+    return _json_array(items, " " * 8)
+
+
+def _report_parts(report: InstanceReport):
+    """Yield the JSON text of one report in pieces, one per block, so that
+    the text of a large report is copied once, when the pieces are joined."""
     p = report.params
-    refusal = report.totals["sl_refused"]
-    blocks = []
+    refused = _SL_REFUSED % json.dumps(report.totals["sl_refused"])
+    # The blocks of an instance share most of their triples.
+    triple_json: dict = {}
+    yield '{\n    "blocks": ['
+    sep = "\n      "
     for row in report.rows:
-        if row.sl is not None:
-            sl = {
-                "covered": row.sl.covered,
-                "ibr_per_block": row.sl.ibr_per_block,
-                "weights_per_block": row.sl.weights_per_block,
-            }
+        sl = row.sl
+        if sl is None:
+            sl_text = refused
         else:
-            sl = {"refused": refusal}
-        blocks.append(
-            {
-                "label": block_to_jsonable(row.block),
-                "ibr": row.ibr,
-                "weights": row.weights,
-                "kappa_b": row.kappa_b,
-                "sl": sl,
-            }
-        )
-    return {
-        "instance": {"n": p.n, "q": p.q, "eps": p.eps, "ell": p.ell, "e": p.e},
-        "blocks": blocks,
-        "checks": report.checks,
-        "totals": report.totals,
-    }
+            sl_text = _SL % (sl.covered, sl.ibr_per_block, sl.weights_per_block)
+        label = _label_json(row.block, triple_json)
+        yield _BLOCK % (sep, row.ibr, row.kappa_b, label, sl_text, row.weights)
+        sep = ",\n      "
+    yield "\n    ]" if report.rows else "]"
+    instance = {"n": p.n, "q": p.q, "eps": p.eps, "ell": p.ell, "e": p.e}
+    yield _REPORT_TAIL % (
+        _json_dict(report.checks, " " * 4),
+        _json_dict(instance, " " * 4),
+        _json_dict(report.totals, " " * 4),
+    )
 
 
 def reports_to_json(reports) -> str:
-    payload = [report_to_jsonable(r) for r in reports]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    parts = ["["]
+    sep = "\n  "
+    for report in reports:
+        parts.append(sep)
+        parts.extend(_report_parts(report))
+        sep = ",\n  "
+    parts.append("\n]\n" if len(parts) > 1 else "]\n")
+    return "".join(parts)
 
 
 CSV_FIELDS = (

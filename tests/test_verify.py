@@ -7,9 +7,11 @@ import pytest
 from blockweights import cli
 from blockweights.arith import make_params, prime_power_decomposition
 from blockweights.errors import ConfigurationError
+from blockweights.symbols import block_to_jsonable
 from blockweights.verify import (
+    InstanceReport,
     iter_grid,
-    report_to_jsonable,
+    report_order,
     reports_to_csv,
     reports_to_json,
     run_grid,
@@ -27,6 +29,52 @@ ALWAYS_ON = {
     "bijection_equivariant",
 }
 ADMITTED_ONLY = {"sl_blockwise_awc", "kappa_divisibility", "sl_global_consistency"}
+
+N3_GRID = [
+    make_params(n=n, q=q, eps=eps, ell=ell)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for ell in (2, 3, 5, 7)
+    if ell != prime_power_decomposition(q)[0]
+    for eps in (1, -1)
+    for n in (1, 2, 3)
+]
+
+
+def report_to_jsonable(report: InstanceReport) -> dict:
+    """Reference for the JSON report: the nested dicts whose
+    json.dumps(indent=2, sort_keys=True) text reports_to_json must equal."""
+    p = report.params
+    refusal = report.totals["sl_refused"]
+    blocks = []
+    for row in report.rows:
+        if row.sl is not None:
+            sl = {
+                "covered": row.sl.covered,
+                "ibr_per_block": row.sl.ibr_per_block,
+                "weights_per_block": row.sl.weights_per_block,
+            }
+        else:
+            sl = {"refused": refusal}
+        blocks.append(
+            {
+                "label": block_to_jsonable(row.block),
+                "ibr": row.ibr,
+                "weights": row.weights,
+                "kappa_b": row.kappa_b,
+                "sl": sl,
+            }
+        )
+    return {
+        "instance": {"n": p.n, "q": p.q, "eps": p.eps, "ell": p.ell, "e": p.e},
+        "blocks": blocks,
+        "checks": report.checks,
+        "totals": report.totals,
+    }
+
+
+def reference_json(reports) -> str:
+    payload = [report_to_jsonable(r) for r in reports]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_worked_instance_report():
@@ -121,9 +169,8 @@ def test_grid_runner_orders_and_streams():
     reports = run_grid(grid)
     keys = [(r.params.n, r.params.q, r.params.eps, r.params.ell) for r in reports]
     assert keys == sorted(keys)
-    order_key = lambda r: (r.params.n, r.params.q, r.params.eps, r.params.ell)
-    streamed = sorted(iter_grid(grid), key=order_key)
-    assert [order_key(r) for r in streamed] == keys
+    streamed = sorted(iter_grid(grid), key=report_order)
+    assert [report_order(r) for r in streamed] == keys
     assert reports_to_json(reports) == reports_to_json(streamed)
 
 
@@ -132,15 +179,7 @@ def test_grid_report_bytes_are_pinned():
     """The JSON and CSV reports of the n <= 3 grid (126 instances) have
     fixed bytes: a refactor of the labels, their keys or the kernel must
     keep them."""
-    grid = [
-        make_params(n=n, q=q, eps=eps, ell=ell)
-        for q in (2, 3, 4, 5, 7, 8, 9)
-        for ell in (2, 3, 5, 7)
-        if ell != prime_power_decomposition(q)[0]
-        for eps in (1, -1)
-        for n in (1, 2, 3)
-    ]
-    reports = run_grid(grid)
+    reports = run_grid(N3_GRID)
     assert len(reports) == 126
     digests = [
         hashlib.sha256(text.encode()).hexdigest()
@@ -212,7 +251,7 @@ def test_cli_verify_rejects_bad_q(capsys):
 def test_cli_exit_one_on_check_failure(monkeypatch, capsys):
     report = run_instance(WORKED)
     broken = dataclasses.replace(report, checks={**report.checks, "gl_blockwise_awc": False})
-    monkeypatch.setattr(cli, "run_grid", lambda *a, **k: (broken,))
+    monkeypatch.setattr(cli, "iter_grid", lambda *a, **k: iter((broken,)))
     rc = cli.main(["verify", "--n", "2", "--q", "5", "--eps", "+1", "--ell", "3"])
     out = capsys.readouterr()
     assert rc == 1
@@ -240,3 +279,69 @@ def test_report_jsonable_matches_json_text():
     report = run_instance(make_params(n=2, q=2, eps=-1, ell=5))
     doc = report_to_jsonable(report)
     assert json.loads(reports_to_json([report]))[0] == doc
+
+
+@pytest.mark.parametrize("unipotent_only", [False, True])
+def test_json_emitter_matches_reference_on_grid(unipotent_only):
+    """Byte identity with json.dumps of the reference dicts on the n <= 3
+    grid, which holds admitted instances and both refusals (ell = 2, ell
+    dividing the center); unipotent-only runs take the "unipotent-only run"
+    refusal branch."""
+    reports = run_grid(N3_GRID, unipotent_only=unipotent_only)
+    refusals = {r.totals["sl_refused"] for r in reports}
+    if unipotent_only:
+        assert refusals == {"unipotent-only run"}
+    else:
+        assert refusals == {
+            None,
+            "ell=2 upper bound only",
+            "ell divides gcd(n, q-eps)",
+        }
+    assert reports_to_json(reports) == reference_json(reports)
+
+
+def test_json_emitter_matches_reference_on_edge_reports():
+    report = run_instance(WORKED)
+    broken = dataclasses.replace(report, checks={**report.checks, "gl_blockwise_awc": False})
+    empty = InstanceReport(WORKED, (), dict(report.checks), {**report.totals, "blocks": 0})
+    for reports in ([broken], [empty], [empty, broken]):
+        assert reports_to_json(reports) == reference_json(reports)
+    assert '"blocks": [],' in reports_to_json([empty])
+    assert '"gl_blockwise_awc": false' in reports_to_json([broken])
+    assert reports_to_json([]) == reference_json([]) == "[]\n"
+
+
+def test_cli_verify_unwritable_out_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    rc = cli.main([
+        "verify", "--n", "2", "--q", "5", "--eps", "+1", "--ell", "3",
+        "--out", str(target),
+    ])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert f"error: cannot write {target}:" in out.err
+    assert "ok:" not in out.err and "FAIL:" not in out.err
+    assert out.out == ""
+    assert not target.exists()
+
+
+def test_cli_verify_prints_verdicts_before_the_report(monkeypatch, capsys):
+    """Each verdict line is on stderr before the report is serialized, and
+    the report is written in report_order whatever order the sweep took."""
+    argv = ["verify", "--n", "1..2", "--q", "3,5", "--eps", "+1,-1", "--ell", "2"]
+    seen = []
+
+    def spy(reports):
+        seen.append((capsys.readouterr().err, [report_order(r) for r in reports]))
+        return reports_to_json(reports)
+
+    monkeypatch.setattr(cli, "reports_to_json", spy)
+    rc = cli.main(argv)
+    out = capsys.readouterr()
+    assert rc == 0
+    [(err, order)] = seen
+    assert len(order) == 8 and order == sorted(order)
+    verdicts = [line for line in err.splitlines() if line.startswith("ok:")]
+    assert len(verdicts) == 8
+    assert not any(line.startswith(("ok:", "FAIL:")) for line in out.err.splitlines())
+    assert out.out == reports_to_json(run_grid([make_params(*k) for k in order]))
