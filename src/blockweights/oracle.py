@@ -6,6 +6,12 @@ prime to ell.  Modular representation theory predicts that this count equals
 the number of irreducible ell-Brauer characters, which the engine computes
 symbolically; cross_check compares both sides on one instance.
 
+GL is enumerated as the matrices of nonzero determinant, in lexicographic
+order; GU column by column as orthonormal frames; SL and SU keep the
+determinant one elements.  Neither the group nor its classes depend on ell,
+so class_profile computes each group's order and class representative
+orders once per process and every ell of that group reads them.
+
 Field sizes are capped at p and p^2 for p <= 7 with fixed quadratic moduli,
 so results cannot drift with the choice of an irreducible polynomial.  Group
 enumeration is capped by ORACLE_CAP elements of the ambient GL/GU.
@@ -191,31 +197,12 @@ def group_order(kind: str, n: int, q: int) -> int:
 
 
 def _enumerate_gl(F: TinyField, n: int) -> list[tuple[int, ...]]:
-    q, add, mul = F.q, F.add, F.mul
-    vectors = list(itertools.product(range(q), repeat=n))
-    out: list[tuple[int, ...]] = []
-    rows: list[tuple[int, ...]] = []
-
-    def extend(span: frozenset) -> None:
-        if len(rows) == n:
-            out.append(tuple(x for row in rows for x in row))
-            return
-        for v in vectors:
-            if v in span:
-                continue
-            rows.append(v)
-            scaled = [
-                [mul[c * q + x] for x in v] for c in range(q)
-            ]
-            bigger = set(span)
-            for s in span:
-                for cv in scaled:
-                    bigger.add(tuple(add[a * q + b] for a, b in zip(s, cv)))
-            extend(frozenset(bigger))
-            rows.pop()
-
-    extend(frozenset({(0,) * n}))
-    return out
+    """Every invertible n x n matrix, in lexicographic order."""
+    return [
+        a
+        for a in itertools.product(range(F.q), repeat=n * n)
+        if mat_det(F, a, n) != 0
+    ]
 
 
 def _herm(F: TinyField, u, v, n: int) -> int:
@@ -336,12 +323,29 @@ def element_order(F: TinyField, n: int, x) -> int:
     return k
 
 
-def ell_regular_class_count(F: TinyField, n: int, elements, ell: int) -> tuple[int, int]:
-    """(total class count, count of classes with order prime to ell)."""
+def class_rep_orders(F: TinyField, n: int, elements) -> list[int]:
+    """Element orders of the conjugacy class representatives, in order."""
     gens = generating_set(F, n, elements)
     reps = conjugacy_class_reps(F, n, elements, gens)
-    regular = sum(1 for r in reps if element_order(F, n, r) % ell != 0)
-    return len(reps), regular
+    return [element_order(F, n, r) for r in reps]
+
+
+def _prime_to(orders, ell: int) -> int:
+    return sum(1 for k in orders if k % ell != 0)
+
+
+def ell_regular_class_count(F: TinyField, n: int, elements, ell: int) -> tuple[int, int]:
+    """(total class count, count of classes with order prime to ell)."""
+    orders = class_rep_orders(F, n, elements)
+    return len(orders), _prime_to(orders, ell)
+
+
+@lru_cache(maxsize=None)
+def class_profile(kind: str, n: int, q: int) -> tuple[int, tuple[int, ...]]:
+    """(group order, class representative orders), once per group: neither
+    depends on ell, so every ell of one group reads the same profile."""
+    F, elements = enumerate_matrix_group(kind, n, q)
+    return len(elements), tuple(class_rep_orders(F, n, elements))
 
 
 def _engine_count(kind: str, params: InstanceParams) -> int:
@@ -359,13 +363,13 @@ def cross_check(kind: str, n: int, q: int, ell: int) -> dict:
     eps = 1 if kind in ("GL", "SL") else -1
     params = make_params(n, q, eps, ell)
     engine = _engine_count(kind, params)
-    F, elements = enumerate_matrix_group(kind, n, q)
-    classes, regular = ell_regular_class_count(F, n, elements, ell)
+    order, orders = class_profile(kind, n, q)
+    regular = _prime_to(orders, ell)
     return {
         "group": f"{kind}_{n}({q})",
         "ell": ell,
-        "order": len(elements),
-        "classes": classes,
+        "order": order,
+        "classes": len(orders),
         "ell_regular": regular,
         "engine_count": engine,
         "pass": engine == regular,

@@ -182,24 +182,25 @@ def test_criterion_6_oracle_equivalence():
             bad.append((kind, n, q, ell))
     compared = 0
     slowest = 0.0
-    for q in (2, 3, 4, 5):
-        for n in (1, 2):
-            for ell in (2, 3, 5, 7):
-                for kind in ("GL", "SL", "GU", "SU"):
-                    t0 = time.monotonic()
-                    try:
-                        record = cross_check(kind, n, q, ell)
-                    except (ConfigurationError, UnsupportedModeError):
-                        continue
-                    slowest = max(slowest, time.monotonic() - t0)
-                    compared += 1
-                    if not record["pass"]:
-                        bad.append((kind, n, q, ell))
+    cells = [(n, q) for q in (2, 3, 4, 5) for n in (1, 2)] + [(3, 2), (3, 3)]
+    for n, q in cells:
+        for ell in (2, 3, 5, 7):
+            for kind in ("GL", "SL", "GU", "SU"):
+                t0 = time.monotonic()
+                try:
+                    record = cross_check(kind, n, q, ell)
+                except (ConfigurationError, UnsupportedModeError):
+                    continue
+                slowest = max(slowest, time.monotonic() - t0)
+                compared += 1
+                if not record["pass"]:
+                    bad.append((kind, n, q, ell))
     elapsed = time.monotonic() - start
     _verdict(
         6,
-        not bad and compared == 76,
-        f"3 named checks plus {compared} in-cap runs (n<=2, q<=5) agree; "
+        not bad and compared == 97,
+        f"3 named checks plus {compared} in-cap runs (n<=2, q<=5; n=3, q<=3) "
+        "agree; "
         f"slowest run {slowest:.1f} s, total {elapsed:.0f} s"
         + (f"; failures {bad[:3]}" if bad else ""),
     )

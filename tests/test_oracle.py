@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
 from blockweights import oracle
 from blockweights.arith import make_params, prime_power_decomposition
-from blockweights.errors import ConfigurationError, UnsupportedModeError
+from blockweights.errors import (
+    ConfigurationError,
+    InvariantViolationError,
+    UnsupportedModeError,
+)
 from blockweights.semisimple import center_elements
 from blockweights.symbols import enumerate_admissible_symbols, kappa, z_act
 from blockweights.verify import run_instance
@@ -19,6 +25,7 @@ from blockweights.oracle import (
     mat_identity,
     mat_inv,
     mat_mul,
+    tiny_field,
 )
 
 
@@ -52,6 +59,35 @@ def test_matrix_helpers():
     assert prod_det == F.mul[mat_det(F, a, 2) * 5 + mat_det(F, b, 2)]
     inv = mat_inv(F, a, 2)
     assert mat_mul(F, a, inv, 2) == eye
+
+
+def test_determinant_is_multiplicative():
+    """GL enumeration keeps the matrices of nonzero determinant, so mat_det
+    must be the determinant: multiplicative, and 1 on the identity.  Checked
+    on a fixed pseudo-random sample of pairs for every tiny field, n <= 3."""
+    for q in (2, 3, 4, 5, 7, 9, 25, 49):
+        F = tiny_field(q)
+        for n in (1, 2, 3):
+            assert mat_det(F, mat_identity(n), n) == 1
+            rng = random.Random(f"{q},{n}")
+            for _ in range(200):
+                a = tuple(rng.randrange(q) for _ in range(n * n))
+                b = tuple(rng.randrange(q) for _ in range(n * n))
+                want = F.mul[mat_det(F, a, n) * q + mat_det(F, b, n)]
+                assert mat_det(F, mat_mul(F, a, b, n), n) == want
+
+
+def test_gl_enumeration_order_check_catches_a_wrong_determinant(monkeypatch):
+    """A determinant that calls one singular matrix invertible adds it to
+    GL_2(3), and the order check refuses the enumeration."""
+    real = oracle.mat_det
+    singular = (1, 2, 2, 1)
+    assert real(tiny_field(3), singular, 2) == 0
+    monkeypatch.setattr(
+        oracle, "mat_det", lambda F, a, n: 1 if a == singular else real(F, a, n)
+    )
+    with pytest.raises(InvariantViolationError, match="expected 48"):
+        enumerate_matrix_group("GL", 2, 3)
 
 
 def test_group_order_formulas():
@@ -143,6 +179,36 @@ def test_cross_check_more_instances():
     assert cross_check("GU", 3, 2, 3)["engine_count"] == 3
 
 
+def test_class_profile_memo_cannot_change_a_record():
+    """cross_check reads each group's class profile from a per-process memo;
+    its records equal those built from a fresh enumeration for every ell.
+    SL_2(5) after GL_2(5) would read a memo keyed on (n, q) alone."""
+    compared = 0
+    for kind, n, q in (("GL", 2, 5), ("SL", 2, 5), ("SU", 2, 3), ("GL", 3, 2)):
+        F, elems = enumerate_matrix_group(kind, n, q)
+        p = tiny_field(q).p
+        for ell in (2, 3, 5, 7):
+            if ell == p:
+                continue
+            try:
+                record = cross_check(kind, n, q, ell)
+            except UnsupportedModeError:
+                continue
+            classes, regular = ell_regular_class_count(F, n, elems, ell)
+            engine = record["engine_count"]
+            assert record == {
+                "group": f"{kind}_{n}({q})",
+                "ell": ell,
+                "order": len(elems),
+                "classes": classes,
+                "ell_regular": regular,
+                "engine_count": engine,
+                "pass": engine == regular,
+            }
+            compared += 1
+    assert compared == 10
+
+
 def test_cross_check_refusals():
     with pytest.raises(UnsupportedModeError):
         cross_check("SL", 2, 5, 2)
@@ -160,9 +226,9 @@ def test_cross_check_engine_count_is_the_run_instance_total(monkeypatch):
     """On the n <= 2 grid the engine count is the run_instance total, and it
     equals the count from the symbols themselves: all of them for GL/GU, the
     sum of kappa over center orbit representatives for SL/SU.  The matrix
-    side is stubbed out; the tests above check it."""
-    monkeypatch.setattr(oracle, "enumerate_matrix_group", lambda kind, n, q: (None, ()))
-    monkeypatch.setattr(oracle, "ell_regular_class_count", lambda *args: (0, 0))
+    side is stubbed out at the per-group profile, so no stub reaches the
+    memo; the tests above check it."""
+    monkeypatch.setattr(oracle, "class_profile", lambda kind, n, q: (0, ()))
     compared = 0
     for q in (2, 3, 4, 5, 7, 8, 9):
         p = prime_power_decomposition(q)[0]

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 
 from blockweights import cli
 from blockweights.arith import make_params, prime_power_decomposition
-from blockweights.errors import ConfigurationError
+from blockweights.errors import ConfigurationError, InvariantViolationError
 from blockweights.symbols import block_to_jsonable
 from blockweights.verify import (
     InstanceReport,
@@ -210,6 +212,11 @@ def test_cli_verify_range_and_csv(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0].startswith("n,q,eps,ell,label")
     assert len(lines) > 8
+    # Written through a temporary file, with the mode a new file gets.
+    assert [path.name for path in tmp_path.iterdir()] == ["report.csv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
 def test_cli_verify_skips_defining_characteristic(capsys):
@@ -311,6 +318,18 @@ def test_json_emitter_matches_reference_on_edge_reports():
     assert reports_to_json([]) == reference_json([]) == "[]\n"
 
 
+def test_cli_verify_directory_out_exits_two_before_the_sweep(tmp_path, capsys):
+    rc = cli.main([
+        "verify", "--n", "2", "--q", "5", "--eps", "+1", "--ell", "3",
+        "--out", str(tmp_path),
+    ])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert f"error: cannot write {tmp_path}: Is a directory" in out.err
+    assert "ok:" not in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_verify_unwritable_out_exits_two(tmp_path, capsys):
     target = tmp_path / "missing" / "r.json"
     rc = cli.main([
@@ -323,6 +342,29 @@ def test_cli_verify_unwritable_out_exits_two(tmp_path, capsys):
     assert "ok:" not in out.err and "FAIL:" not in out.err
     assert out.out == ""
     assert not target.exists()
+
+
+@pytest.mark.parametrize("fault", [InvariantViolationError("planted"), KeyboardInterrupt()])
+def test_cli_verify_stopped_sweep_keeps_the_old_out(tmp_path, monkeypatch, fault):
+    """A sweep that stops leaves an earlier report byte for byte as it was,
+    and no temporary file beside it."""
+    target = tmp_path / "r.json"
+    target.write_bytes(b"earlier report\n")
+
+    def stopped(*args, **kwargs):
+        raise fault
+        yield
+
+    monkeypatch.setattr(cli, "iter_grid", stopped)
+    argv = ["verify", "--n", "1", "--q", "5", "--eps", "+1", "--ell", "3",
+            "--out", str(target)]
+    if isinstance(fault, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 1
+    assert target.read_bytes() == b"earlier report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_cli_verify_prints_verdicts_before_the_report(monkeypatch, capsys):
