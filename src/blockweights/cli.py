@@ -12,11 +12,10 @@ Exit codes: 0 all checks passed, 1 a check or internal invariant failed,
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
+import stat
 import sys
-import tempfile
 
 from .arith import make_params, prime_power_decomposition
 from .errors import (
@@ -106,10 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cannot_write(path: str, exc: OSError) -> ConfigurationError:
-    return ConfigurationError(f"cannot write {path}: {exc.strerror or exc}")
-
-
 def _cmd_verify(args) -> int:
     ns = _parse_int_list(args.n, "--n")
     qs = _parse_int_list(args.q, "--q")
@@ -133,24 +128,18 @@ def _cmd_verify(args) -> int:
     if not param_list:
         raise ConfigurationError("the parameter grid is empty")
     out = sys.stdout
-    temp = None
+    created = False
     if args.out:
-        # The report goes to a temporary file beside --out, moved onto it
-        # only once written, so a sweep that stops leaves --out as it was.
+        # Opened before the sweep to check it can be written, but in append
+        # mode: the old contents go only once the new report is ready.
+        created = not os.path.lexists(args.out)
         try:
-            if os.path.isdir(args.out):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, temp = tempfile.mkstemp(
-                dir=os.path.dirname(os.path.abspath(args.out)),
-                prefix=f".{os.path.basename(args.out)}.",
-                suffix=".tmp",
-            )
+            out = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
-            raise _cannot_write(args.out, exc) from None
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        out = os.fdopen(fd, "w", encoding="utf-8")
+            raise ConfigurationError(
+                f"cannot write {args.out}: {exc.strerror or exc}"
+            ) from None
+    done = False
     try:
         reports = []
         failed = 0
@@ -166,23 +155,20 @@ def _cmd_verify(args) -> int:
             )
             reports.append(report)
         reports.sort(key=report_order)
-        out.write(
+        text = (
             reports_to_json(reports)
             if args.format == "json"
             else reports_to_csv(reports)
         )
-        if temp is not None:
-            out.close()
-            try:
-                os.replace(temp, args.out)
-            except OSError as exc:
-                raise _cannot_write(args.out, exc) from None
-            temp = None
+        if out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate(0)
+        out.write(text)
+        done = True
     finally:
         if out is not sys.stdout:
             out.close()
-        if temp is not None:
-            os.unlink(temp)
+            if created and not done:
+                os.unlink(args.out)
     return 1 if failed else 0
 
 

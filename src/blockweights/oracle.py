@@ -323,29 +323,15 @@ def element_order(F: TinyField, n: int, x) -> int:
     return k
 
 
-def class_rep_orders(F: TinyField, n: int, elements) -> list[int]:
-    """Element orders of the conjugacy class representatives, in order."""
-    gens = generating_set(F, n, elements)
-    reps = conjugacy_class_reps(F, n, elements, gens)
-    return [element_order(F, n, r) for r in reps]
-
-
-def _prime_to(orders, ell: int) -> int:
-    return sum(1 for k in orders if k % ell != 0)
-
-
-def ell_regular_class_count(F: TinyField, n: int, elements, ell: int) -> tuple[int, int]:
-    """(total class count, count of classes with order prime to ell)."""
-    orders = class_rep_orders(F, n, elements)
-    return len(orders), _prime_to(orders, ell)
-
-
 @lru_cache(maxsize=None)
 def class_profile(kind: str, n: int, q: int) -> tuple[int, tuple[int, ...]]:
-    """(group order, class representative orders), once per group: neither
-    depends on ell, so every ell of one group reads the same profile."""
+    """(group order, element orders of the conjugacy class representatives),
+    once per group: neither depends on ell, so every ell of one group reads
+    the same profile."""
     F, elements = enumerate_matrix_group(kind, n, q)
-    return len(elements), tuple(class_rep_orders(F, n, elements))
+    gens = generating_set(F, n, elements)
+    reps = conjugacy_class_reps(F, n, elements, gens)
+    return len(elements), tuple(element_order(F, n, r) for r in reps)
 
 
 def _engine_count(kind: str, params: InstanceParams) -> int:
@@ -364,7 +350,7 @@ def cross_check(kind: str, n: int, q: int, ell: int) -> dict:
     params = make_params(n, q, eps, ell)
     engine = _engine_count(kind, params)
     order, orders = class_profile(kind, n, q)
-    regular = _prime_to(orders, ell)
+    regular = sum(1 for k in orders if k % ell != 0)
     return {
         "group": f"{kind}_{n}({q})",
         "ell": ell,

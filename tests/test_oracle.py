@@ -17,7 +17,6 @@ from blockweights.oracle import (
     conjugacy_class_reps,
     cross_check,
     element_order,
-    ell_regular_class_count,
     enumerate_matrix_group,
     generating_set,
     group_order,
@@ -146,6 +145,14 @@ def test_conjugacy_reps_are_deterministic():
     first = conjugacy_class_reps(F, 2, elems, gens)
     second = conjugacy_class_reps(F, 2, elems, generating_set(F, 2, elems))
     assert first == second
+
+
+def ell_regular_class_count(F: TinyField, n: int, elements, ell: int) -> tuple[int, int]:
+    """Uncached reference: (class count, count of classes whose
+    representative has order prime to ell), from the elements given."""
+    reps = conjugacy_class_reps(F, n, elements, generating_set(F, n, elements))
+    orders = [element_order(F, n, r) for r in reps]
+    return len(orders), sum(1 for k in orders if k % ell != 0)
 
 
 def test_regular_class_counts_known():

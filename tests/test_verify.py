@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import stat
+import threading
 
 import pytest
 
@@ -212,11 +213,6 @@ def test_cli_verify_range_and_csv(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0].startswith("n,q,eps,ell,label")
     assert len(lines) > 8
-    # Written through a temporary file, with the mode a new file gets.
-    assert [path.name for path in tmp_path.iterdir()] == ["report.csv"]
-    umask = os.umask(0)
-    os.umask(umask)
-    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
 def test_cli_verify_skips_defining_characteristic(capsys):
@@ -365,6 +361,69 @@ def test_cli_verify_stopped_sweep_keeps_the_old_out(tmp_path, monkeypatch, fault
         assert cli.main(argv) == 1
     assert target.read_bytes() == b"earlier report\n"
     assert [path.name for path in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_cli_verify_stopped_sweep_leaves_no_new_out(tmp_path, monkeypatch):
+    """A sweep that stops removes the --out file it created itself."""
+
+    def stopped(*args, **kwargs):
+        raise InvariantViolationError("planted")
+        yield
+
+    monkeypatch.setattr(cli, "iter_grid", stopped)
+    assert cli.main([
+        "verify", "--n", "1", "--q", "5", "--eps", "+1", "--ell", "3",
+        "--out", str(tmp_path / "r.json"),
+    ]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+VERIFY_N2 = ["verify", "--n", "2", "--q", "5", "--eps", "+1", "--ell", "3"]
+
+
+def test_cli_verify_out_replaces_an_existing_file_in_place(tmp_path, capsys):
+    """A longer earlier report is replaced whole; the file keeps its mode
+    and its hard links see the new report."""
+    assert cli.main(VERIFY_N2) == 0
+    report = capsys.readouterr().out
+    target = tmp_path / "r.json"
+    target.write_text("x" * (2 * len(report)))
+    target.chmod(0o600)
+    os.link(target, tmp_path / "link.json")
+    assert cli.main(VERIFY_N2 + ["--out", str(target)]) == 0
+    assert target.read_text() == report
+    assert (tmp_path / "link.json").read_text() == report
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_cli_verify_out_writes_through_a_symlink(tmp_path, capsys):
+    assert cli.main(VERIFY_N2) == 0
+    report = capsys.readouterr().out
+    real = tmp_path / "real.json"
+    real.write_text("earlier report\n")
+    link = tmp_path / "r.json"
+    link.symlink_to(real)
+    assert cli.main(VERIFY_N2 + ["--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == report
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_cli_verify_out_to_a_named_pipe(tmp_path, capsys):
+    """A non-regular --out is written to, not replaced or truncated."""
+    assert cli.main(VERIFY_N2) == 0
+    report = capsys.readouterr().out
+    fifo = tmp_path / "r.pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text()), daemon=True
+    )
+    reader.start()
+    assert cli.main(VERIFY_N2 + ["--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert received == [report]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 def test_cli_verify_prints_verdicts_before_the_report(monkeypatch, capsys):
