@@ -15,6 +15,9 @@ orders once per process and every ell of that group reads them.
 Field sizes are capped at p and p^2 for p <= 7 with fixed quadratic moduli,
 so results cannot drift with the choice of an irreducible polynomial.  Group
 enumeration is capped by ORACLE_CAP elements of the ambient GL/GU.
+cross_check refuses requests beyond these scopes, and SL/SU instances that
+symbols.sl_refusal does not admit, before it runs the engine, so they fail
+fast.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from functools import lru_cache
 
 from .arith import InstanceParams, make_params
 from .errors import InvariantViolationError, UnsupportedModeError
+from .symbols import sl_refusal
 from .verify import run_instance
 
 ORACLE_CAP = 300_000
@@ -214,42 +218,49 @@ def _herm(F: TinyField, u, v, n: int) -> int:
 
 
 def _enumerate_gu(F: TinyField, n: int) -> list[tuple[int, ...]]:
+    """Every unitary n x n matrix, as its orthonormal frames of columns; each
+    depth takes the unit vectors orthogonal to the columns chosen so far."""
     vectors = itertools.product(range(F.q), repeat=n)
     unit = [v for v in vectors if _herm(F, v, v, n) == 1]
     out: list[tuple[int, ...]] = []
     cols: list[tuple[int, ...]] = []
 
-    def extend() -> None:
+    def extend(candidates) -> None:
         if len(cols) == n:
             out.append(tuple(cols[j][i] for i in range(n) for j in range(n)))
             return
-        for v in unit:
-            if all(_herm(F, c, v, n) == 0 for c in cols):
-                cols.append(v)
-                extend()
-                cols.pop()
+        for v in candidates:
+            cols.append(v)
+            extend([u for u in candidates if _herm(F, v, u, n) == 0])
+            cols.pop()
 
-    extend()
+    extend(unit)
     return out
 
 
-def enumerate_matrix_group(kind: str, n: int, q: int) -> tuple[TinyField, list]:
-    """Enumerate the group as flat matrices; refuses beyond the caps."""
+def _field_in_scope(kind: str, n: int, q: int) -> TinyField:
+    """The field of the group's matrices; refuses a group the oracle does
+    not enumerate: an unknown kind, n out of range, an ambient GL/GU beyond
+    ORACLE_CAP, or a field without a table."""
     if n < 1 or n > _MAX_N:
         raise UnsupportedModeError(f"oracle supports 1 <= n <= {_MAX_N}, got {n}")
+    if kind not in ("GL", "SL", "GU", "SU"):
+        raise UnsupportedModeError(f"unknown group kind {kind!r}")
     ambient = "GL" if kind in ("GL", "SL") else "GU"
     if group_order(ambient, n, q) > ORACLE_CAP:
         raise UnsupportedModeError(
             f"{ambient}_{n}({q}) exceeds the oracle cap of {ORACLE_CAP}"
         )
+    return tiny_field(q if ambient == "GL" else q * q)
+
+
+def enumerate_matrix_group(kind: str, n: int, q: int) -> tuple[TinyField, list]:
+    """Enumerate the group as flat matrices; refuses beyond the caps."""
+    F = _field_in_scope(kind, n, q)
     if kind in ("GL", "SL"):
-        F = tiny_field(q)
         elements = _enumerate_gl(F, n)
-    elif kind in ("GU", "SU"):
-        F = tiny_field(q * q)
-        elements = _enumerate_gu(F, n)
     else:
-        raise UnsupportedModeError(f"unknown group kind {kind!r}")
+        elements = _enumerate_gu(F, n)
     if kind in ("SL", "SU"):
         elements = [a for a in elements if mat_det(F, a, n) == 1]
     if len(elements) != group_order(kind, n, q):
@@ -337,17 +348,20 @@ def class_profile(kind: str, n: int, q: int) -> tuple[int, tuple[int, ...]]:
 def _engine_count(kind: str, params: InstanceParams) -> int:
     """The engine's Brauer character count: a total of run_instance."""
     totals = run_instance(params).totals
-    if kind in ("GL", "GU"):
-        return totals["total_symbols"]
-    if totals["sl_refused"] is not None:
-        raise UnsupportedModeError(totals["sl_refused"])
-    return totals["sl_total_ibr"]
+    return totals["total_symbols" if kind in ("GL", "GU") else "sl_total_ibr"]
 
 
 def cross_check(kind: str, n: int, q: int, ell: int) -> dict:
-    """Compare the symbolic Brauer character count with the matrix oracle."""
+    """Compare the symbolic Brauer character count with the matrix oracle.
+    Refuses what the oracle or the SL counts do not cover before it runs
+    the engine or builds a group."""
+    _field_in_scope(kind, n, q)
     eps = 1 if kind in ("GL", "SL") else -1
     params = make_params(n, q, eps, ell)
+    if kind in ("SL", "SU"):
+        refusal = sl_refusal(params)
+        if refusal is not None:
+            raise UnsupportedModeError(refusal)
     engine = _engine_count(kind, params)
     order, orders = class_profile(kind, n, q)
     regular = sum(1 for k in orders if k % ell != 0)

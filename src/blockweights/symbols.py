@@ -17,19 +17,21 @@ _acted_key the fast path the kernel scans with, and the tests tie the two
 (test_symbols::test_z_act_is_a_group_action_on_symbols).
 
 Each quantity of the descent to SL_n(eps q) is implemented here, once:
-sl_refusal decides whether the SL counts cover an instance; _center_orbit
-gives the stabilizer order and least acted key of any label under a given
-set of central elements (kappa_ellprime, kappa_weight use the whole
-center); block_counts, the per-block kernel, gives kappa_b =
-|C1 intersect C2|, the per-SL-block restriction sums with their
-divisibility and the bijection checks (kappa_block, sl_block_report).
+sl_refusal decides whether the SL counts cover an instance; _stabilizer
+gives the stabilizer order of a label, from its key, under a given set of
+central elements (kappa_ellprime, kappa_weight use the whole center);
+block_counts, the per-block kernel, gives kappa_b = |C1 intersect C2|, the
+per-SL-block restriction sums with their divisibility and the bijection
+checks (kappa_block, sl_block_report).
 
 A central element outside the block stabilizer C1 moves every label of a
 block into another block, so the kernel scans the labels of a block under
-C1 only.  The one sum over whole center orbits, the number of Brauer
-characters of SL_n(eps q), is counted by orbit-stabilizer: each label adds
-its squared stabilizer order, and the instance total over the center order
-is the sum of stabilizer orders over center orbits.
+C1 only.  Every sum over orbits is counted by orbit-stabilizer: a label with
+stabilizer order k lies in an orbit of |G| / k labels, so summing k^2 / |G|
+over all labels adds k once per orbit.  Per block G is C1, whose orbits are
+where the center orbits meet the block, and the sums are the per-SL-block
+counts; over the blocks of an instance G is the center, and the symbol sum
+is the number of Brauer characters of SL_n(eps q).
 
 The kernel acts on blocks once per center orbit.  The first block of an
 orbit among those passed is acted on by every nontrivial central element;
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -216,32 +217,18 @@ def _acted_key(z: RootLabel, key, eq: int):
     return tuple(sorted([(_acted_rep(z, rep, eq), rest) for rep, rest in key]))
 
 
-def _center_orbit(sym, zs_rest, eq: int):
-    """(key of sym, the elements of zs_rest fixing sym, least key among sym
-    and its images under zs_rest), for a label of any type.  zs_rest is a
-    set of nonidentity central elements.  When zs_rest is the center
-    without its identity, the least key is that of the center orbit; when
-    zs_rest and the identity form a subgroup, such as the block stabilizer
-    C1, it is the least key of the orbit under that subgroup.  block_counts
-    calls it only on symbols and weight symbols, under C1; it scans blocks
-    itself, once per center orbit."""
-    own = sym.key()
-    fixing = []
-    least = own
-    for z in zs_rest:
-        key = _acted_key(z, own, eq)
-        if key == own:
-            fixing.append(z)
-        elif key < least:
-            least = key
-    return own, fixing, least
+def _stabilizer(key, zs_rest, eq: int) -> int:
+    """Order of the stabilizer of the label with this key in the group of
+    the identity and zs_rest, a set of nonidentity central elements such as
+    the center or the block stabilizer C1 without the identity."""
+    return 1 + sum(_acted_key(z, key, eq) == key for z in zs_rest)
 
 
 def kappa_ellprime(sym, params: InstanceParams) -> int:
     """Order of the stabilizer of an admissible or weight symbol in the
     ell'-part of the center."""
     zs_rest = center_elements(params).elements[1:]
-    return 1 + len(_center_orbit(sym, zs_rest, params.eq)[1])
+    return _stabilizer(sym.key(), zs_rest, params.eq)
 
 
 def kappa_ell(sym: AdmissibleSymbol, params: InstanceParams) -> int:
@@ -557,17 +544,8 @@ def sl_refusal(params: InstanceParams) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class SlBlockReport:
-    """Counts for the SL-blocks covered by one GL-block."""
-
-    covered: int
-    ibr_per_block: int
-    weights_per_block: int
-
-
 class BlockCounts(NamedTuple):
-    """What block_counts finds on one block.
+    """What block_counts finds on one block; the rows of a verify report.
 
     ibr and weights are the closed-form GL counts of the block.  kappa_b is
     the number of SL-blocks it covers; is_rep says it is the first block of
@@ -575,13 +553,15 @@ class BlockCounts(NamedTuple):
     sorted, center-stable block list of run_instance is the least of the
     orbit, and on a single block is always True.  sl_ibr and sl_weights
     count Brauer characters and weights per covered SL-block: stabilizer
-    order over kappa_b, summed over the center orbits that meet the block
-    (each meets it in one C1-orbit).
-    stab_sq_sum adds the squared stabilizer order of every symbol of the
-    block; summed over a center-stable set of blocks and divided by the
-    center order, it is the sum of stabilizer orders over center orbits.
-    failed names the checks of verify.run_instance that fail on this
-    block.
+    order over kappa_b, summed over the center orbits that meet the block.
+    Each meets it in one C1-orbit, so by orbit-stabilizer in C1 they are
+    the sums of squared stabilizer orders over the symbols and over the
+    weight symbols of the block, divided by |C1| kappa_b.
+    stab_sq_sum is that sum over the symbols; summed over a center-stable
+    set of blocks and divided by the center order, it is the sum of
+    stabilizer orders over center orbits.
+    failed names, sorted, the checks of verify.run_instance that fail on
+    this block; it is empty on a clean block.
     """
 
     block: BlockSymbol
@@ -592,7 +572,7 @@ class BlockCounts(NamedTuple):
     sl_ibr: int
     sl_weights: int
     stab_sq_sum: int
-    failed: set[str]
+    failed: tuple[str, ...]
 
 
 def block_counts(blocks, params: InstanceParams):
@@ -615,13 +595,20 @@ def block_counts(blocks, params: InstanceParams):
     * bijection_kappa_preserved, equal stabilizers in C1: equal in the
       whole center, since a z fixing a label fixes its block
       (test_symbols::test_z_act_commutes_with_block_of).
-    * bijection_equivariant, to(z s) == z to(s) for every z at one s per
-      center orbit of symbols that meets a block passed (at the first block
-      of the block's center orbit): at every s' = y s too, as z_act is a
-      group action (test_symbols::test_z_act_is_a_group_action_on_symbols), so
+    * bijection_equivariant, to(z s) == z to(s) for every z at every s of
+      the first block of each block center orbit among the blocks passed:
+      every center orbit of symbols that meets a block passed meets that
+      first block, so the check holds at one s of it, and at every s' = y s
+      too, as z_act is a group action
+      (test_symbols::test_z_act_is_a_group_action_on_symbols), so
       to(z s') = to(zy s) = zy to(s) = z to(s').  The check compares keys,
       with z to(s) acted on by _acted_key; the same test shows that
       _acted_key gives the key of z_act on every label.
+
+    kappa_divisibility asks that kappa_b divide the stabilizer order of
+    every symbol and weight symbol of the block.  The per-SL-block sums are
+    counted by orbit-stabilizer in C1 and divided by |C1| kappa_b; a
+    remainder fails sl_blockwise_awc.
     """
     eq = params.eq
     zs_rest = center_elements(params).elements[1:]
@@ -659,9 +646,8 @@ def block_counts(blocks, params: InstanceParams):
                     kappa_b += 1
 
         # A central element outside C1 moves every label of the block out of
-        # it, so the stabilizer of a label lies in C1 and a center orbit
-        # meets the block in one C1-orbit: the label scans run over C1 only,
-        # and "least" below is least in the C1-orbit.
+        # it, so the stabilizer of a label lies in C1: the label scans run
+        # over C1 only.
         #
         # Weight side first: stabilizers keyed by symbol key, so the
         # bijection checks below can match into them.
@@ -669,22 +655,23 @@ def block_counts(blocks, params: InstanceParams):
         if len(wt_list) != nwt:
             failed.add("counts_match")
         wt_stab: dict = {}
-        wt_orbits: dict = {}
+        wt_sq_sum = 0
         for w in wt_list:
-            own, fixing, least = _center_orbit(w, c1_rest, eq)
-            stab = wt_stab[own] = 1 + len(fixing)
-            wt_orbits.setdefault(least, stab)
+            key = w.key()
+            stab = wt_stab[key] = _stabilizer(key, c1_rest, eq)
+            wt_sq_sum += stab * stab
+            if stab % kappa_b:
+                failed.add("kappa_divisibility")
 
         sym_list = symbols_in_block(block, params)
         if len(sym_list) != nsym:
             failed.add("counts_match")
-        sym_orbits: dict = {}
         stab_sq_sum = 0
         for s in sym_list:
-            own, fixing, least = _center_orbit(s, c1_rest, eq)
-            stab = 1 + len(fixing)
-            sym_orbits.setdefault(least, stab)
+            stab = _stabilizer(s.key(), c1_rest, eq)
             stab_sq_sum += stab * stab
+            if stab % kappa_b:
+                failed.add("kappa_divisibility")
             image = to_weight_symbol(s, params)
             if from_weight_symbol(image, params) != s:
                 failed.add("bijection_roundtrip")
@@ -694,34 +681,33 @@ def block_counts(blocks, params: InstanceParams):
                 failed.add("bijection_block_preserved")
             elif image_stab != stab:
                 failed.add("bijection_kappa_preserved")
-            # Every center orbit of symbols that meets a block passed meets
-            # the first block of that block's center orbit, the one with
-            # is_rep, in one C1-orbit, so this tests each such center orbit
-            # of symbols at one symbol.
             # The weight side acts on keys, the symbol side through z_act,
             # so each comparison also checks _acted_key against z_act.
-            if is_rep and least == own and any(
+            if is_rep and any(
                 _acted_key(z, image_key, eq)
                 != to_weight_symbol(z_act(z, s, params), params).key()
                 for z in zs_rest
             ):
                 failed.add("bijection_equivariant")
 
-        # kappa_b divides the stabilizer order of every center orbit iff it
-        # divides their gcd; then the quotients below are exact.
-        if math.gcd(*sym_orbits.values(), *wt_orbits.values()) % kappa_b:
-            failed.add("kappa_divisibility")
-        sl_ibr = sum(sym_orbits.values()) // kappa_b
-        sl_weights = sum(wt_orbits.values()) // kappa_b
-        if sl_ibr != sl_weights:
+        # Orbit-stabilizer in C1: the squared stabilizer orders over |C1|
+        # add the stabilizer order of each C1-orbit once, and kappa_b
+        # divides each of those (kappa_divisibility).
+        per_sl_block = (1 + len(c1_rest)) * kappa_b
+        sl_ibr, ibr_rem = divmod(stab_sq_sum, per_sl_block)
+        sl_weights, wt_rem = divmod(wt_sq_sum, per_sl_block)
+        if ibr_rem or wt_rem or sl_ibr != sl_weights:
             failed.add("sl_blockwise_awc")
         yield BlockCounts(
-            block, nsym, nwt, kappa_b, is_rep, sl_ibr, sl_weights, stab_sq_sum, failed
+            block, nsym, nwt, kappa_b, is_rep, sl_ibr, sl_weights, stab_sq_sum,
+            tuple(sorted(failed)),
         )
 
 
-def sl_block_report(block: BlockSymbol, params: InstanceParams) -> SlBlockReport:
-    """Per block SL-level counts; refuses modes the counts do not cover."""
+def sl_block_report(block: BlockSymbol, params: InstanceParams) -> BlockCounts:
+    """The kernel's record of one block, whose kappa_b, sl_ibr and
+    sl_weights are its SL-level counts; refuses modes the counts do not
+    cover and raises when kappa_b does not divide a stabilizer order."""
     refusal = sl_refusal(params)
     if refusal is not None:
         raise UnsupportedModeError(refusal)
@@ -731,7 +717,7 @@ def sl_block_report(block: BlockSymbol, params: InstanceParams) -> SlBlockReport
             f"a stabilizer order in block {block.key()} is not divisible"
             f" by kappa_b = {counts.kappa_b}"
         )
-    return SlBlockReport(counts.kappa_b, counts.sl_ibr, counts.sl_weights)
+    return counts
 
 
 # Serialization.

@@ -1,23 +1,30 @@
 """Instance level verification runs and deterministic report emission.
 
 run_instance runs the per-block kernel symbols.block_counts on every block of
-one (n, q, eps, ell) instance and records, per block, the Brauer character
-count, the weight count, and the center stabilizer data, together with a
+one (n, q, eps, ell) instance and keeps its records, one symbols.BlockCounts
+per block, as the report rows: the Brauer character count, the weight count,
+the center stabilizer data and the per-SL-block counts.  With them comes a
 dictionary of named equality checks:
 
 * gl_blockwise_awc: per block, #Brauer characters == #weight classes;
 * counts_match: closed form counts agree with explicit enumerations;
 * bijection_*: the relabeling between the two families is a bijection on
   each block, preserves stabilizer orders, and commutes with the center
-  (symbols.block_counts proves that its per-symbol checks show this);
+  (symbols.block_counts proves that its per-symbol checks show this; the
+  center equivariance is checked at every symbol of the first block of each
+  center orbit of blocks);
 * kappa_divisibility, sl_blockwise_awc, sl_global_consistency: the SL-level
   counts, run only when symbols.sl_refusal admits the instance (ell odd and
-  prime to gcd(n, q - eps)).  The first two come from the kernel; the last
-  compares the instance totals sl_block_count and sl_total_ibr, which are
-  sums of the kernel's per-block results.  sl_total_ibr, the sum of
-  stabilizer orders over center orbits of symbols, is counted by
-  orbit-stabilizer as the sum of squared stabilizer orders over all symbols
-  divided by the center order; a remainder fails the check.
+  prime to gcd(n, q - eps)); the rows of a refused instance carry the
+  kernel's SL counts, but the reports write the refusal in their place.
+  The first two come from the kernel, which counts the per-SL-block sums by
+  orbit-stabilizer in the block stabilizer C1; the last compares the
+  instance totals sl_block_count and sl_total_ibr, which are sums of the
+  kernel's per-block results.  sl_total_ibr, the sum of stabilizer orders
+  over center orbits of symbols, is counted by orbit-stabilizer as the sum
+  of squared stabilizer orders over all symbols divided by the center
+  order; a remainder fails the check, as one in a per-block division fails
+  sl_blockwise_awc.
 
 Reports serialize to JSON or CSV with fully deterministic bytes.  The JSON
 layout is written out by hand in reports_to_json and its templates, straight
@@ -38,8 +45,8 @@ from json.encoder import encode_basestring_ascii
 from .arith import InstanceParams
 from .semisimple import center_elements, clear_orbit_caches
 from .symbols import (
+    BlockCounts,
     BlockSymbol,
-    SlBlockReport,
     block_counts,
     block_to_jsonable,
     clear_symbol_caches,
@@ -62,20 +69,9 @@ SL_BLOCK_CHECKS = ("kappa_divisibility", "sl_blockwise_awc")
 
 
 @dataclass(frozen=True)
-class BlockRow:
-    """One block of the instance with its counts."""
-
-    block: BlockSymbol
-    ibr: int
-    weights: int
-    kappa_b: int
-    sl: SlBlockReport | None
-
-
-@dataclass(frozen=True)
 class InstanceReport:
     params: InstanceParams
-    rows: tuple[BlockRow, ...]
+    rows: tuple[BlockCounts, ...]
     checks: dict
     totals: dict
 
@@ -94,27 +90,23 @@ def run_instance(
         blocks = tuple(b for b in blocks if is_unipotent_block(b))
     checks = dict.fromkeys(GL_CHECKS + (SL_BLOCK_CHECKS if admitted else ()), True)
 
-    rows: list[BlockRow] = []
+    rows: list[BlockCounts] = []
     total_symbols = 0
     total_weights = 0
     sl_block_count = 0
     covered_times_ibr = 0
     stab_sq_total = 0
-    for counts in block_counts(blocks, params):
-        block, ibr, weights, kappa_b, is_rep, sl_ibr, sl_wts, stab_sq, failed = counts
-        for name in failed:
+    for row in block_counts(blocks, params):
+        for name in row.failed:
             if name in checks:
                 checks[name] = False
-        total_symbols += ibr
-        total_weights += weights
-        stab_sq_total += stab_sq
-        sl = None
-        if admitted:
-            sl = SlBlockReport(kappa_b, sl_ibr, sl_wts)
-            if is_rep:
-                sl_block_count += kappa_b
-                covered_times_ibr += kappa_b * sl_ibr
-        rows.append(BlockRow(block, ibr, weights, kappa_b, sl))
+        total_symbols += row.ibr
+        total_weights += row.weights
+        stab_sq_total += row.stab_sq_sum
+        if admitted and row.is_rep:
+            sl_block_count += row.kappa_b
+            covered_times_ibr += row.kappa_b * row.sl_ibr
+        rows.append(row)
 
     # Orbit-stabilizer: a center orbit of symbols with stabilizer order k has
     # |Z| / k members, so summing k^2 / |Z| over all symbols gives the sum of
@@ -236,17 +228,17 @@ def _report_parts(report: InstanceReport):
     """Yield the JSON text of one report in pieces, one per block, so that
     the text of a large report is copied once, when the pieces are joined."""
     p = report.params
-    refused = _SL_REFUSED % json.dumps(report.totals["sl_refused"])
+    refusal = report.totals["sl_refused"]
+    refused = _SL_REFUSED % json.dumps(refusal)
     # The blocks of an instance share most of their triples.
     triple_json: dict = {}
     yield '{\n    "blocks": ['
     sep = "\n      "
     for row in report.rows:
-        sl = row.sl
-        if sl is None:
-            sl_text = refused
+        if refusal is None:
+            sl_text = _SL % (row.kappa_b, row.sl_ibr, row.sl_weights)
         else:
-            sl_text = _SL % (sl.covered, sl.ibr_per_block, sl.weights_per_block)
+            sl_text = refused
         label = _label_json(row.block, triple_json)
         yield _BLOCK % (sep, row.ibr, row.kappa_b, label, sl_text, row.weights)
         sep = ",\n      "
@@ -292,18 +284,13 @@ def reports_to_csv(reports) -> str:
     writer.writerow(CSV_FIELDS)
     for report in reports:
         p = report.params
-        refusal = report.totals["sl_refused"] or ""
+        refusal = report.totals["sl_refused"]
         for row in report.rows:
             label = json.dumps(
                 block_to_jsonable(row.block), separators=(",", ":"), sort_keys=True
             )
-            if row.sl is not None:
-                sl_cols = (
-                    row.sl.covered,
-                    row.sl.ibr_per_block,
-                    row.sl.weights_per_block,
-                    "",
-                )
+            if refusal is None:
+                sl_cols = (row.kappa_b, row.sl_ibr, row.sl_weights, "")
             else:
                 sl_cols = ("", "", "", refusal)
             writer.writerow(

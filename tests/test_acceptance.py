@@ -149,7 +149,7 @@ def test_criterion_5_worked_instance():
     sl_rows = {}
     for row in report.rows:
         label = tuple((str(o.rep), m, lam) for o, m, lam in row.block.triples)
-        sl_rows[label] = (row.sl.covered, row.sl.ibr_per_block, row.sl.weights_per_block)
+        sl_rows[label] = (row.kappa_b, row.sl_ibr, row.sl_weights)
     ok = (
         totals["blocks"] == 12
         and totals["total_symbols"] == 16

@@ -229,13 +229,37 @@ def test_cross_check_refusals():
     assert str(info.value) == refused == "ell divides gcd(n, q-eps)"
 
 
+def test_cross_check_refuses_before_the_engine(monkeypatch):
+    """Requests beyond the oracle's n, cap or fields, and SL/SU instances
+    that sl_refusal does not admit, fail fast: neither the engine nor the
+    matrix side runs."""
+
+    def ran(*args, **kwargs):
+        raise AssertionError("cross_check ran before refusing")
+
+    monkeypatch.setattr(oracle, "run_instance", ran)
+    monkeypatch.setattr(oracle, "class_profile", ran)
+    for case in (
+        ("GL", 6, 9, 7),
+        ("GL", 3, 5, 3),
+        ("GL", 2, 8, 3),
+        ("GU", 2, 4, 3),
+        ("SL", 3, 4, 3),
+        ("SU", 2, 3, 2),
+    ):
+        with pytest.raises(UnsupportedModeError):
+            cross_check(*case)
+
+
 def test_cross_check_engine_count_is_the_run_instance_total(monkeypatch):
     """On the n <= 2 grid the engine count is the run_instance total, and it
     equals the count from the symbols themselves: all of them for GL/GU, the
     sum of kappa over center orbit representatives for SL/SU.  The matrix
-    side is stubbed out at the per-group profile, so no stub reaches the
-    memo; the tests above check it."""
+    side is stubbed out at the per-group profile and at its scope check,
+    which refuses the fields without a table (q = 8; GU over q = 4, 8, 9),
+    so no stub reaches the memo; the tests above check it."""
     monkeypatch.setattr(oracle, "class_profile", lambda kind, n, q: (0, ()))
+    monkeypatch.setattr(oracle, "_field_in_scope", lambda kind, n, q: None)
     compared = 0
     for q in (2, 3, 4, 5, 7, 8, 9):
         p = prime_power_decomposition(q)[0]

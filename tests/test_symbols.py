@@ -1,15 +1,16 @@
+import dataclasses
+
 import pytest
 
-from blockweights import symbols
+from blockweights import symbols, verify
 from blockweights.arith import make_params
 from blockweights.errors import DomainError, InvariantViolationError, UnsupportedModeError
 from blockweights.semisimple import center_act, center_elements, orbit_of, root_label
 from blockweights.weights import core_function
 from blockweights.symbols import (
     AdmissibleSymbol,
-    SlBlockReport,
     _acted_key,
-    _center_orbit,
+    _stabilizer,
     admissible_symbol,
     block_counts,
     block_of,
@@ -285,9 +286,10 @@ def test_kappa_block_agrees_with_c1_c2():
 
 
 def test_block_counts_match_reference_orbits():
-    """The kernel's stabilizer orders, least keys, kappa_b and SL sums equal
-    those of the full z_act orbits and of C1 and C2; its squared stabilizer
-    sums, over the center order, count stabilizers once per center orbit.
+    """The kernel's stabilizer orders, kappa_b and SL sums equal those of
+    the full z_act orbits, summed once per orbit, and of C1 and C2; its
+    squared stabilizer sums, over the center order, count stabilizers once
+    per center orbit.
     The kernel runs on each block alone and over the sorted block list of
     the instance, where the later blocks of a center orbit take C1 from
     the first and only the least block is the representative."""
@@ -301,8 +303,7 @@ def test_block_counts_match_reference_orbits():
         swept = dict(zip(blocks, block_counts(blocks, params)))
         for b in blocks:
             orbit, stab = orbit_and_stabilizer(b, params)
-            _, fixing, least = _center_orbit(b, zs_rest, params.eq)
-            assert (1 + len(fixing), least) == (stab, orbit[0].key())
+            assert _stabilizer(b.key(), zs_rest, params.eq) == stab
             c1, c2 = block_c1_c2(b, params)
             kappa_b = len(set(c1) & set(c2))
             sums = []
@@ -312,12 +313,7 @@ def test_block_counts_match_reference_orbits():
                 labels = members(b, params)
                 for s in labels:
                     s_orbit, s_stab = orbit_and_stabilizer(s, params)
-                    own, fixing, least = _center_orbit(s, zs_rest, params.eq)
-                    assert (own, 1 + len(fixing), least) == (
-                        s.key(),
-                        s_stab,
-                        s_orbit[0].key(),
-                    )
+                    assert _stabilizer(s.key(), zs_rest, params.eq) == s_stab
                     per_orbit[s_orbit[0]] = s_stab
                     if members is symbols_in_block:
                         stab_sq_sum += s_stab * s_stab
@@ -463,6 +459,46 @@ def test_gl_check_sees_a_planted_fault(check, monkeypatch):
     assert run_instance(P25).checks[check] is False
 
 
+@pytest.mark.parametrize(
+    "check, fault",
+    [
+        ("sl_blockwise_awc", "weight stabilizers doubled"),
+        ("sl_blockwise_awc", "every stabilizer 1"),
+        ("sl_global_consistency", "center order doubled"),
+    ],
+)
+def test_sl_check_sees_a_planted_fault(check, fault, monkeypatch):
+    """Each SL count check turns False in run_instance under a fault it
+    guards against: weight symbol stabilizers read twice their order, so
+    each sl_weights is four times sl_ibr; every label looks fixed by no
+    central element, so the squared stabilizer orders of a block whose
+    stabilizer C1 has order 2 leave a remainder over |C1| kappa_b while
+    sl_ibr == sl_weights; run_instance divides the squared stabilizer total
+    by twice the center order."""
+    real_stabilizer = symbols._stabilizer
+    real_center = verify.center_elements
+    weights = weight_keys(P25)
+    faults = {
+        "weight stabilizers doubled": (
+            symbols,
+            "_stabilizer",
+            lambda key, zs, eq: real_stabilizer(key, zs, eq)
+            * (2 if key in weights else 1),
+        ),
+        "every stabilizer 1": (symbols, "_stabilizer", lambda key, zs, eq: 1),
+        "center order doubled": (
+            verify,
+            "center_elements",
+            lambda params: dataclasses.replace(
+                real_center(params), order=2 * real_center(params).order
+            ),
+        ),
+    }
+    assert run_instance(P25).checks[check]
+    monkeypatch.setattr(*faults[fault])
+    assert run_instance(P25).checks[check] is False
+
+
 def test_weight_symbols_per_block_worked_instance():
     blocks = enumerate_block_symbols(P25)
     for b in blocks:
@@ -521,13 +557,15 @@ def test_sl_reports_worked_instance():
     reports = {}
     for b in enumerate_block_symbols(P25):
         label = tuple((str(o.rep), m, lam) for o, m, lam in b.triples)
-        reports[label] = sl_block_report(b, P25)
-    assert reports[(("0/1", 2, ()),)] == SlBlockReport(1, 2, 2)
-    assert reports[(("1/4", 1, (1,)), ("3/4", 1, (1,)))] == SlBlockReport(2, 1, 1)
-    assert reports[(("1/8", 1, ()),)] == SlBlockReport(1, 2, 2)
-    assert reports[(("0/1", 1, (1,)), ("1/2", 1, (1,)))] == SlBlockReport(2, 1, 1)
-    for report in reports.values():
-        assert report.ibr_per_block == report.weights_per_block
+        report = sl_block_report(b, P25)
+        assert report.block == b
+        reports[label] = (report.kappa_b, report.sl_ibr, report.sl_weights)
+    assert reports[(("0/1", 2, ()),)] == (1, 2, 2)
+    assert reports[(("1/4", 1, (1,)), ("3/4", 1, (1,)))] == (2, 1, 1)
+    assert reports[(("1/8", 1, ()),)] == (1, 2, 2)
+    assert reports[(("0/1", 1, (1,)), ("1/2", 1, (1,)))] == (2, 1, 1)
+    for _, sl_ibr, sl_weights in reports.values():
+        assert sl_ibr == sl_weights
 
 
 def test_sl_totals_worked_instance():
@@ -540,8 +578,8 @@ def test_sl_totals_worked_instance():
         if min(z_act(z, b, P25) for z in zs) != b:
             continue
         report = sl_block_report(b, P25)
-        block_count += report.covered
-        label_count += report.covered * report.ibr_per_block
+        block_count += report.kappa_b
+        label_count += report.kappa_b * report.sl_ibr
     assert block_count == 5
     assert label_count == 7
 

@@ -50,11 +50,11 @@ def report_to_jsonable(report: InstanceReport) -> dict:
     refusal = report.totals["sl_refused"]
     blocks = []
     for row in report.rows:
-        if row.sl is not None:
+        if refusal is None:
             sl = {
-                "covered": row.sl.covered,
-                "ibr_per_block": row.sl.ibr_per_block,
-                "weights_per_block": row.sl.weights_per_block,
+                "covered": row.kappa_b,
+                "ibr_per_block": row.sl_ibr,
+                "weights_per_block": row.sl_weights,
             }
         else:
             sl = {"refused": refusal}
@@ -111,7 +111,9 @@ def test_ell_two_instance_reports_refusal():
     assert set(report.checks) == ALWAYS_ON
     assert report.totals["sl_refused"] == "ell=2 upper bound only"
     assert report.totals["sl_block_count"] is None
-    assert all(row.sl is None for row in report.rows)
+    (doc,) = json.loads(reports_to_json([report]))
+    assert len(doc["blocks"]) == len(report.rows)
+    assert all(b["sl"] == {"refused": "ell=2 upper bound only"} for b in doc["blocks"])
 
 
 def test_center_divisor_instance_reports_refusal():
