@@ -28,9 +28,6 @@ class RootLabel(NamedTuple):
     den: int
     num: int
 
-    def key(self) -> "RootLabel":
-        return self
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
@@ -56,9 +53,6 @@ class FrobeniusOrbit(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def key(self) -> RootLabel:
-        return self.rep
 
 
 def _twist(sigma: RootLabel, eq: int) -> RootLabel:
@@ -109,7 +103,7 @@ def act_on_orbit(
     z: RootLabel, orbit: FrobeniusOrbit, params: InstanceParams
 ) -> FrobeniusOrbit:
     """Translate a whole orbit by a central element; the size is preserved."""
-    image = _orbit_of(center_act(z, orbit.rep), params.eq)
+    image = _orbit_of(_acted_rep(z, orbit.rep, params.eq), params.eq)
     if image.size != orbit.size:
         raise InvariantViolationError(
             f"central translation changed orbit size: {orbit.rep} -> {image.rep}"
@@ -138,6 +132,8 @@ def suborbit(sigma: RootLabel, d: int, params: InstanceParams) -> tuple[RootLabe
     if d < 1:
         raise DomainError(f"step must be at least 1, got {d}")
     eq = params.eq
+    if math.gcd(eq, sigma.den) != 1:
+        raise DomainError(f"denominator {sigma.den} is not coprime to {eq}")
     elems = [sigma]
     x = _twist_step(sigma, d, eq)
     while x != sigma:

@@ -9,20 +9,19 @@ weights) gives the two compressed label families.  The ell'-part of the
 center acts on all three by translating orbits; stabilizer orders drive the
 SL-level restriction counts.
 
-The center action is coded once per level for all three label types.  Every
-key() is a sorted tuple of entries (orbit representative, rest), so z_act
-translates the orbit of each entry and re-sorts, and _acted_key does the
-same on keys without building the label: z_act is the reference,
-_acted_key the fast path the kernel scans with, and the tests tie the two
-(test_symbols::test_z_act_is_a_group_action_on_symbols).
+The center acts on all three label types by one function, z_act.  A label
+holds a sorted tuple of entries whose first item is a canonical orbit, and
+distinct canonical orbits have distinct representatives, so labels compare,
+sort and hash as their own keys, orbit representative first; z_act
+translates the orbit of each entry and re-sorts.
 
 Each quantity of the descent to SL_n(eps q) is implemented here, once:
 sl_refusal decides whether the SL counts cover an instance; _stabilizer
-gives the stabilizer order of a label, from its key, under a given set of
-central elements (kappa_ellprime, kappa_weight use the whole center);
-block_counts, the per-block kernel, gives kappa_b = |C1 intersect C2|, the
-per-SL-block restriction sums with their divisibility and the bijection
-checks (kappa_block, sl_block_report).
+gives the stabilizer order of a label under a given set of central
+elements (kappa_ellprime, kappa_weight use the whole center); block_counts,
+the per-block kernel, gives kappa_b = |C1 intersect C2|, the per-SL-block
+restriction sums with their divisibility and the bijection checks
+(kappa_block, sl_block_report).
 
 A central element outside the block stabilizer C1 moves every label of a
 block into another block, so the kernel scans the labels of a block under
@@ -35,10 +34,10 @@ is the number of Brauer characters of SL_n(eps q).
 
 The kernel acts on blocks once per center orbit.  The first block of an
 orbit among those passed is acted on by every nontrivial central element;
-the elements that fix its key form C1, and the keys of the other members
-are kept with that C1 until those blocks come.  As the center is abelian,
-C1 is the same for every block of the orbit, so the later ones take it
-without acting, and only the first is the orbit's representative.
+the elements that fix it form C1, and the other members are kept with that
+C1 until those blocks come.  As the center is abelian, C1 is the same for
+every block of the orbit, so the later ones take it without acting, and
+only the first is the orbit's representative.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from .semisimple import (
     FrobeniusOrbit,
     IDENTITY,
     RootLabel,
-    _acted_rep,
     _orbit_of,
     _twist_step,
     act_on_orbit,
@@ -92,28 +90,17 @@ class AdmissibleSymbol(NamedTuple):
 
     pairs: tuple[tuple[FrobeniusOrbit, Partition], ...]
 
-    def key(self):
-        return tuple((orb.rep, mu) for orb, mu in self.pairs)
-
 
 class BlockSymbol(NamedTuple):
     """Triples (orbit, multiplicity, core); labels one ell-block."""
 
     triples: tuple[tuple[FrobeniusOrbit, int, Partition], ...]
 
-    def key(self):
-        return tuple((orb.rep, (m, lam)) for orb, m, lam in self.triples)
-
 
 class WeightSymbol(NamedTuple):
     """Tuples (orbit, multiplicity, core, core function); a weight class."""
 
     tuples: tuple[tuple[FrobeniusOrbit, int, Partition, CoreFunction], ...]
-
-    def key(self):
-        return tuple(
-            (orb.rep, (m, lam, func.entries)) for orb, m, lam, func in self.tuples
-        )
 
 
 def _validate_orbit(orbit: FrobeniusOrbit, params: InstanceParams) -> None:
@@ -132,12 +119,7 @@ def _check_distinct_sorted(keys) -> None:
 
 def admissible_symbol(pairs, params: InstanceParams) -> AdmissibleSymbol:
     """Validate, canonicalize, and build an admissible symbol."""
-    canon = tuple(
-        sorted(
-            ((orb, as_partition(mu)) for orb, mu in pairs),
-            key=lambda t: t[0].rep,
-        )
-    )
+    canon = tuple(sorted((orb, as_partition(mu)) for orb, mu in pairs))
     _check_distinct_sorted([orb.rep for orb, _ in canon])
     total = 0
     for orb, mu in canon:
@@ -153,10 +135,7 @@ def admissible_symbol(pairs, params: InstanceParams) -> AdmissibleSymbol:
 def block_symbol(triples, params: InstanceParams) -> BlockSymbol:
     """Validate, canonicalize, and build a block symbol."""
     canon = tuple(
-        sorted(
-            ((orb, int(m), as_partition(lam)) for orb, m, lam in triples),
-            key=lambda t: t[0].rep,
-        )
+        sorted((orb, int(m), as_partition(lam)) for orb, m, lam in triples)
     )
     _check_distinct_sorted([orb.rep for orb, _, _ in canon])
     total = 0
@@ -181,8 +160,7 @@ def weight_symbol(tuples_, params: InstanceParams) -> WeightSymbol:
     """Validate, canonicalize, and build a weight symbol."""
     canon = tuple(
         sorted(
-            ((orb, int(m), as_partition(lam), func) for orb, m, lam, func in tuples_),
-            key=lambda t: t[0].rep,
+            (orb, int(m), as_partition(lam), func) for orb, m, lam, func in tuples_
         )
     )
     block_symbol([(orb, m, lam) for orb, m, lam, _ in canon], params)
@@ -201,34 +179,22 @@ def z_act(z: RootLabel, sym, params: InstanceParams):
     if not isinstance(sym, (AdmissibleSymbol, BlockSymbol, WeightSymbol)):
         raise DomainError(f"cannot act on {type(sym).__name__}")
     (entries,) = sym
-    acted = sorted(
-        ((act_on_orbit(z, orb, params), *rest) for orb, *rest in entries),
-        key=lambda t: t[0].rep,
-    )
+    acted = sorted((act_on_orbit(z, orb, params), *rest) for orb, *rest in entries)
     return type(sym)(tuple(acted))
 
 
-def _acted_key(z: RootLabel, key, eq: int):
-    """The key of the z-translate of the label with this key: z_act(z,
-    sym, params).key() from sym.key() alone."""
-    if len(key) == 1:
-        ((rep, rest),) = key
-        return ((_acted_rep(z, rep, eq), rest),)
-    return tuple(sorted([(_acted_rep(z, rep, eq), rest) for rep, rest in key]))
-
-
-def _stabilizer(key, zs_rest, eq: int) -> int:
-    """Order of the stabilizer of the label with this key in the group of
-    the identity and zs_rest, a set of nonidentity central elements such as
-    the center or the block stabilizer C1 without the identity."""
-    return 1 + sum(_acted_key(z, key, eq) == key for z in zs_rest)
+def _stabilizer(sym, zs_rest, params: InstanceParams) -> int:
+    """Order of the stabilizer of a label in the group of the identity and
+    zs_rest, a set of nonidentity central elements such as the center or
+    the block stabilizer C1 without the identity."""
+    return 1 + sum(z_act(z, sym, params) == sym for z in zs_rest)
 
 
 def kappa_ellprime(sym, params: InstanceParams) -> int:
     """Order of the stabilizer of an admissible or weight symbol in the
     ell'-part of the center."""
     zs_rest = center_elements(params).elements[1:]
-    return _stabilizer(sym.key(), zs_rest, params.eq)
+    return _stabilizer(sym, zs_rest, params)
 
 
 def kappa_ell(sym: AdmissibleSymbol, params: InstanceParams) -> int:
@@ -277,7 +243,7 @@ def symbols_in_block(
         )
         for combo in itertools.product(*per_slot)
     ]
-    out.sort(key=AdmissibleSymbol.key)
+    out.sort()
     return tuple(out)
 
 
@@ -302,7 +268,7 @@ def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     table = params.e_gamma_table
 
     def close_out() -> None:
-        base = sorted(chosen, key=lambda t: t[0].rep)
+        base = sorted(chosen)
         if len(base) == 1:
             orb, m = base[0]
             for lam in distinct_cores(m, table[orb.size - 1]):
@@ -337,7 +303,7 @@ def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
                         del chosen[-len(shape):]
 
     assign(0, params.n)
-    results.sort(key=BlockSymbol.key)
+    results.sort()
     return tuple(results)
 
 
@@ -348,7 +314,7 @@ def enumerate_admissible_symbols(
     out: list[AdmissibleSymbol] = []
     for block in enumerate_block_symbols(params):
         out.extend(symbols_in_block(block, params))
-    out.sort(key=AdmissibleSymbol.key)
+    out.sort()
     return tuple(out)
 
 
@@ -448,7 +414,7 @@ def weight_symbols_in_block(
         )
         for combo in itertools.product(*per_slot)
     ]
-    out.sort(key=WeightSymbol.key)
+    out.sort()
     return tuple(out)
 
 
@@ -601,9 +567,8 @@ def block_counts(blocks, params: InstanceParams):
       first block, so the check holds at one s of it, and at every s' = y s
       too, as z_act is a group action
       (test_symbols::test_z_act_is_a_group_action_on_symbols), so
-      to(z s') = to(zy s) = zy to(s) = z to(s').  The check compares keys,
-      with z to(s) acted on by _acted_key; the same test shows that
-      _acted_key gives the key of z_act on every label.
+      to(z s') = to(zy s) = zy to(s) = z to(s').  Both sides act on labels
+      by the one z_act, and labels compare as their own keys.
 
     kappa_divisibility asks that kappa_b divide the stabilizer order of
     every symbol and weight symbol of the block.  The per-SL-block sums are
@@ -612,8 +577,8 @@ def block_counts(blocks, params: InstanceParams):
     """
     eq = params.eq
     zs_rest = center_elements(params).elements[1:]
-    # The keys of the center orbit members of blocks already met that are
-    # still to come, each mapped to the C1 list of its orbit.
+    # The center orbit members of blocks already met that are still to
+    # come, each mapped to the C1 list of its orbit.
     pending: dict = {}
     for block in blocks:
         failed: set[str] = set()
@@ -625,19 +590,18 @@ def block_counts(blocks, params: InstanceParams):
         # block in the center, C2 the elements that fix every constraint
         # suborbit of it.  The center is abelian, so C1(z B) = C1(B): the
         # first block of each center orbit acts with every z once and
-        # leaves C1 under the keys of the other members; they read it there.
-        own = block.key()
-        is_rep = own not in pending
+        # leaves C1 under the other members; they read it there.
+        is_rep = block not in pending
         if is_rep:
             c1_rest = []
             for z in zs_rest:
-                key = _acted_key(z, own, eq)
-                if key == own:
+                acted = z_act(z, block, params)
+                if acted == block:
                     c1_rest.append(z)
                 else:
-                    pending[key] = c1_rest
+                    pending[acted] = c1_rest
         else:
-            c1_rest = pending.pop(own)
+            c1_rest = pending.pop(block)
         kappa_b = 1
         if c1_rest:
             steps = _block_steps(block, params)
@@ -649,16 +613,15 @@ def block_counts(blocks, params: InstanceParams):
         # it, so the stabilizer of a label lies in C1: the label scans run
         # over C1 only.
         #
-        # Weight side first: stabilizers keyed by symbol key, so the
-        # bijection checks below can match into them.
+        # Weight side first: stabilizers by weight symbol, so the bijection
+        # checks below can match into them.
         wt_list = weight_symbols_in_block(block, params)
         if len(wt_list) != nwt:
             failed.add("counts_match")
         wt_stab: dict = {}
         wt_sq_sum = 0
         for w in wt_list:
-            key = w.key()
-            stab = wt_stab[key] = _stabilizer(key, c1_rest, eq)
+            stab = wt_stab[w] = _stabilizer(w, c1_rest, params)
             wt_sq_sum += stab * stab
             if stab % kappa_b:
                 failed.add("kappa_divisibility")
@@ -668,24 +631,20 @@ def block_counts(blocks, params: InstanceParams):
             failed.add("counts_match")
         stab_sq_sum = 0
         for s in sym_list:
-            stab = _stabilizer(s.key(), c1_rest, eq)
+            stab = _stabilizer(s, c1_rest, params)
             stab_sq_sum += stab * stab
             if stab % kappa_b:
                 failed.add("kappa_divisibility")
             image = to_weight_symbol(s, params)
             if from_weight_symbol(image, params) != s:
                 failed.add("bijection_roundtrip")
-            image_key = image.key()
-            image_stab = wt_stab.get(image_key)
+            image_stab = wt_stab.get(image)
             if image_stab is None:
                 failed.add("bijection_block_preserved")
             elif image_stab != stab:
                 failed.add("bijection_kappa_preserved")
-            # The weight side acts on keys, the symbol side through z_act,
-            # so each comparison also checks _acted_key against z_act.
             if is_rep and any(
-                _acted_key(z, image_key, eq)
-                != to_weight_symbol(z_act(z, s, params), params).key()
+                z_act(z, image, params) != to_weight_symbol(z_act(z, s, params), params)
                 for z in zs_rest
             ):
                 failed.add("bijection_equivariant")
@@ -714,7 +673,7 @@ def sl_block_report(block: BlockSymbol, params: InstanceParams) -> BlockCounts:
     (counts,) = block_counts((block,), params)
     if "kappa_divisibility" in counts.failed:
         raise InvariantViolationError(
-            f"a stabilizer order in block {block.key()} is not divisible"
+            f"a stabilizer order in block {block_to_jsonable(block)} is not divisible"
             f" by kappa_b = {counts.kappa_b}"
         )
     return counts

@@ -8,8 +8,8 @@ ell**d times the size of the assigned core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError
 from .partitions import Partition, enumerate_partitions, is_e_core
@@ -30,9 +30,11 @@ def slots_at_level(h: int, d: int, ell: int) -> tuple[SlotIndex, ...]:
     )
 
 
-@dataclass(frozen=True)
-class CoreFunction:
-    """A finitely supported assignment of nonempty ell-cores to slots."""
+class CoreFunction(NamedTuple):
+    """A finitely supported assignment of nonempty ell-cores to slots.
+
+    A named tuple, so weight symbols compare and sort by the entries.
+    """
 
     entries: tuple[tuple[SlotIndex, Partition], ...]
 
@@ -119,7 +121,7 @@ def enumerate_core_functions(
                 acc.pop()
 
     rec(0, w)
-    results.sort(key=lambda func: func.entries)
+    results.sort()
     return tuple(results)
 
 
@@ -156,6 +158,8 @@ def count_core_functions(h: int, w: int, ell: int) -> int:
         raise DomainError(f"weight must be nonnegative, got {w}")
     if h < 1:
         raise DomainError(f"component count must be at least 1, got {h}")
+    if ell < 2:
+        raise DomainError(f"ell must be at least 2, got {ell}")
     poly = [1] + [0] * w
     d = 0
     while ell**d <= w:

@@ -1,8 +1,11 @@
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
+from blockweights import semisimple
 from blockweights.arith import make_params, mult_order
+from blockweights.errors import DomainError
 from blockweights.semisimple import (
     IDENTITY,
     RootLabel,
@@ -115,6 +118,27 @@ def test_suborbit_known():
     assert suborbit(root_label(1, 8), 2, GL25_L3) == (root_label(1, 8),)
     params9 = make_params(n=3, q=2, eps=-1, ell=5)
     assert suborbit(root_label(1, 9), 3, params9) == (root_label(1, 9),)
+
+
+def test_suborbit_refuses_a_denominator_not_prime_to_eq(monkeypatch):
+    """As orbit_of does; the twist step is no permutation of such labels, so
+    the walk would never return.  The step is capped at 1,000 calls so that
+    a walk fails rather than hangs."""
+    params = make_params(n=1, q=4, eps=1, ell=3)
+    with pytest.raises(DomainError):
+        orbit_of(root_label(1, 2), params)
+    real_step = semisimple._twist_step
+    calls = []
+
+    def capped_step(sigma, d, eq):
+        calls.append(sigma)
+        if len(calls) > 1000:
+            raise RuntimeError("suborbit walked 1,000 steps")
+        return real_step(sigma, d, eq)
+
+    monkeypatch.setattr(semisimple, "_twist_step", capped_step)
+    with pytest.raises(DomainError):
+        suborbit(root_label(1, 2), 1, params)
 
 
 def test_suborbit_size_formula():

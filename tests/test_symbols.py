@@ -5,11 +5,18 @@ import pytest
 from blockweights import symbols, verify
 from blockweights.arith import make_params
 from blockweights.errors import DomainError, InvariantViolationError, UnsupportedModeError
-from blockweights.semisimple import center_act, center_elements, orbit_of, root_label
+from blockweights.semisimple import (
+    center_act,
+    center_elements,
+    enumerate_ellprime_orbits,
+    orbit_of,
+    root_label,
+)
 from blockweights.weights import core_function
 from blockweights.symbols import (
     AdmissibleSymbol,
-    _acted_key,
+    BlockSymbol,
+    WeightSymbol,
     _stabilizer,
     admissible_symbol,
     block_counts,
@@ -55,11 +62,7 @@ def orbit_and_stabilizer(sym, params):
     """Reference: center orbit (sorted) and stabilizer order of any symbol
     type, from z_act at every center element."""
     center = center_elements(params)
-    images = {}
-    for z in center.elements:
-        image = z_act(z, sym, params)
-        images.setdefault(image.key(), image)
-    orbit = tuple(sorted(images.values(), key=lambda t: t.key()))
+    orbit = tuple(sorted({z_act(z, sym, params) for z in center.elements}))
     stab, rem = divmod(center.order, len(orbit))
     assert rem == 0
     return orbit, stab
@@ -79,6 +82,18 @@ def block_c1_c2(block, params):
         if all(frozenset(center_act(z, x) for x in sub) == sub for sub in subs)
     )
     return c1, c2
+
+
+def reference_key(label):
+    """Reference: the (orbit representative, rest) key of a label, which
+    orders labels by the representatives of their orbits first."""
+    if isinstance(label, AdmissibleSymbol):
+        return tuple((orb.rep, mu) for orb, mu in label.pairs)
+    if isinstance(label, BlockSymbol):
+        return tuple((orb.rep, (m, lam)) for orb, m, lam in label.triples)
+    return tuple(
+        (orb.rep, (m, lam, func.entries)) for orb, m, lam, func in label.tuples
+    )
 
 
 def orb(num, den, params=P25):
@@ -217,11 +232,29 @@ def test_orbit_stabilizer_product():
         assert stab == kappa_ellprime(s, P25)
 
 
+def test_label_order_is_the_reference_key_order():
+    """Labels sort and compare equal as their reference keys: the orbits of
+    an instance have distinct representatives, so comparing two labels
+    compares those representatives first.  Enumeration order, and with it
+    the report order, rests on this."""
+    for params in REFERENCE_INSTANCES:
+        reps = [o.rep for o in enumerate_ellprime_orbits(params)]
+        assert len(set(reps)) == len(reps)
+        blocks = enumerate_block_symbols(params)
+        symbols_ = [s for b in blocks for s in symbols_in_block(b, params)]
+        weights = [w for b in blocks for w in weight_symbols_in_block(b, params)]
+        for labels in (list(blocks), symbols_, weights):
+            given = labels[::-1]
+            assert sorted(given) == sorted(given, key=reference_key)
+            pairs = {(label, reference_key(label)) for label in labels}
+            assert len(pairs) == len(set(labels)) == len(
+                {reference_key(label) for label in labels}
+            )
+
+
 def test_z_act_is_a_group_action_on_symbols():
     """On admissible, block and weight symbols; block_counts relies on it to
-    lift equivariance from one symbol per center orbit to every symbol.  The
-    key-level action _acted_key, which the kernel scans with and checks
-    equivariance by, gives the key of z_act on every label."""
+    lift equivariance from one symbol per center orbit to every symbol."""
     for params in REFERENCE_INSTANCES:
         zs = center_elements(params).elements
         for b in enumerate_block_symbols(params):
@@ -229,7 +262,6 @@ def test_z_act_is_a_group_action_on_symbols():
             for s in labels:
                 assert z_act(zs[0], s, params) == s
                 for z1 in zs:
-                    assert _acted_key(z1, s.key(), params.eq) == z_act(z1, s, params).key()
                     for z2 in zs:
                         z12 = root_label(z1.num * z2.den + z2.num * z1.den, z1.den * z2.den)
                         assert z_act(z1, z_act(z2, s, params), params) == z_act(z12, s, params)
@@ -303,7 +335,7 @@ def test_block_counts_match_reference_orbits():
         swept = dict(zip(blocks, block_counts(blocks, params)))
         for b in blocks:
             orbit, stab = orbit_and_stabilizer(b, params)
-            assert _stabilizer(b.key(), zs_rest, params.eq) == stab
+            assert _stabilizer(b, zs_rest, params) == stab
             c1, c2 = block_c1_c2(b, params)
             kappa_b = len(set(c1) & set(c2))
             sums = []
@@ -313,7 +345,7 @@ def test_block_counts_match_reference_orbits():
                 labels = members(b, params)
                 for s in labels:
                     s_orbit, s_stab = orbit_and_stabilizer(s, params)
-                    assert _stabilizer(s.key(), zs_rest, params.eq) == s_stab
+                    assert _stabilizer(s, zs_rest, params) == s_stab
                     per_orbit[s_orbit[0]] = s_stab
                     if members is symbols_in_block:
                         stab_sq_sum += s_stab * s_stab
@@ -352,9 +384,9 @@ def test_block_counts_follow_the_input_order_and_subset():
             assert [counts.block for counts in results] == list(given)
             seen = set()
             for counts in results:
-                orbit_key = orbit_and_stabilizer(counts.block, params)[0][0].key()
-                assert counts.is_rep == (orbit_key not in seen)
-                seen.add(orbit_key)
+                orbit_rep = orbit_and_stabilizer(counts.block, params)[0][0]
+                assert counts.is_rep == (orbit_rep not in seen)
+                seen.add(orbit_rep)
                 assert counts._replace(is_rep=None) == swept[
                     counts.block
                 ]._replace(is_rep=None)
@@ -378,31 +410,21 @@ def test_kappa_divisibility_sees_a_planted_stabilizer(monkeypatch):
         sl_block_report(bad[0].block, params)
 
 
-def weight_keys(params):
-    """The keys of every weight symbol of an instance."""
-    return {
-        w.key()
-        for b in enumerate_block_symbols(params)
-        for w in weight_symbols_in_block(b, params)
-    }
-
-
 def test_equivariance_check_sees_every_central_element(monkeypatch):
-    """A center action on weight symbol keys that ignores one element of
-    order 5 breaks equivariance; the check scans all of Z, not only C1."""
+    """A center action on weight symbols that ignores one element of order 5
+    breaks equivariance; the check scans all of Z, not only C1."""
     params = make_params(n=2, q=9, eps=-1, ell=7)
     z5 = root_label(1, 5)
     assert z5 in center_elements(params).elements
     assert run_instance(params).checks["bijection_equivariant"]
-    real_acted_key = symbols._acted_key
-    weights = weight_keys(params)
+    real_z_act = symbols.z_act
 
-    def faulty_acted_key(z, key, eq):
-        if z == z5 and key in weights:
-            return key
-        return real_acted_key(z, key, eq)
+    def faulty_z_act(z, sym, params):
+        if z == z5 and isinstance(sym, WeightSymbol):
+            return sym
+        return real_z_act(z, sym, params)
 
-    monkeypatch.setattr(symbols, "_acted_key", faulty_acted_key)
+    monkeypatch.setattr(symbols, "z_act", faulty_z_act)
     assert run_instance(params).checks["bijection_equivariant"] is False
 
 
@@ -429,8 +451,7 @@ def test_gl_check_sees_a_planted_fault(check, monkeypatch):
     real_weights = symbols.weight_symbols_in_block
     real_symbols = symbols.symbols_in_block
     real_count = symbols.count_weight_symbols_in_block
-    real_acted_key = symbols._acted_key
-    weights = weight_keys(P25)
+    real_z_act = symbols.z_act
     faults = {
         "bijection_roundtrip": (
             "to_weight_symbol",
@@ -442,8 +463,10 @@ def test_gl_check_sees_a_planted_fault(check, monkeypatch):
             + real_weights(b, params)[:-1],
         ),
         "bijection_kappa_preserved": (
-            "_acted_key",
-            lambda z, key, eq: () if key in weights else real_acted_key(z, key, eq),
+            "z_act",
+            lambda z, sym, params: ()
+            if isinstance(sym, WeightSymbol)
+            else real_z_act(z, sym, params),
         ),
         "counts_match": (
             "symbols_in_block",
@@ -477,15 +500,14 @@ def test_sl_check_sees_a_planted_fault(check, fault, monkeypatch):
     by twice the center order."""
     real_stabilizer = symbols._stabilizer
     real_center = verify.center_elements
-    weights = weight_keys(P25)
     faults = {
         "weight stabilizers doubled": (
             symbols,
             "_stabilizer",
-            lambda key, zs, eq: real_stabilizer(key, zs, eq)
-            * (2 if key in weights else 1),
+            lambda sym, zs, params: real_stabilizer(sym, zs, params)
+            * (2 if isinstance(sym, WeightSymbol) else 1),
         ),
-        "every stabilizer 1": (symbols, "_stabilizer", lambda key, zs, eq: 1),
+        "every stabilizer 1": (symbols, "_stabilizer", lambda sym, zs, params: 1),
         "center order doubled": (
             verify,
             "center_elements",
@@ -540,7 +562,7 @@ def test_bijection_round_trip_and_kappa():
                 assert tuple(t[:3] for t in w.tuples) == b.triples
                 assert kappa_ellprime(s, params) == kappa_weight(w, params)
                 images.append(w)
-            assert sorted(set(images), key=lambda w: w.key()) == list(weight_symbols_in_block(b, params))
+            assert sorted(set(images)) == list(weight_symbols_in_block(b, params))
         for w in (w for b in enumerate_block_symbols(params) for w in weight_symbols_in_block(b, params)):
             assert to_weight_symbol(from_weight_symbol(w, params), params) == w
 

@@ -1,5 +1,6 @@
 import pytest
 
+from blockweights import weights
 from blockweights.errors import DomainError
 from blockweights.partitions import count_with_core, distinct_cores, is_e_core
 from blockweights.weights import (
@@ -25,6 +26,26 @@ def test_slots_at_level_rejects():
         slots_at_level(0, 0, 2)
     with pytest.raises(DomainError):
         slots_at_level(1, -1, 2)
+
+
+def test_count_core_functions_refuses_ell_below_two(monkeypatch):
+    """As enumerate_core_functions does; with ell = 1 every level has unit 1
+    and the level loop never ends.  Powering is capped at 1,000 calls so
+    that a loop fails rather than hangs."""
+    with pytest.raises(DomainError):
+        enumerate_core_functions(1, 1, 1)
+    real_pow = weights._poly_pow
+    calls = []
+
+    def capped_pow(base, exp, cap):
+        calls.append(exp)
+        if len(calls) > 1000:
+            raise RuntimeError("count_core_functions looped 1,000 levels")
+        return real_pow(base, exp, cap)
+
+    monkeypatch.setattr(weights, "_poly_pow", capped_pow)
+    with pytest.raises(DomainError):
+        count_core_functions(1, 1, 1)
 
 
 def test_ell_cores_of_size():
