@@ -62,17 +62,6 @@ def mult_order(b: int, m: int) -> int:
     return t
 
 
-def e0_of(q: int, ell: int) -> int:
-    """Order of q modulo ell for odd ell, and modulo 4 for ell = 2."""
-    if not is_prime(ell):
-        raise DomainError(f"ell must be prime, got {ell}")
-    if q % ell == 0:
-        raise DomainError(f"ell = {ell} divides q = {q}")
-    if ell == 2:
-        return mult_order(q, 4)
-    return mult_order(q, ell)
-
-
 def ell_valuation_and_parts(x: int, ell: int) -> tuple[int, int, int]:
     """Return (v, ell**v, x / ell**v) for a positive integer x."""
     if x < 1:

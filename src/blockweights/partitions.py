@@ -4,13 +4,11 @@ Partitions are tuples of weakly decreasing positive integers; () is the empty
 partition.  Cores and quotients are computed on beta-sets (first column hook
 lengths); the bead count is always the smallest multiple of e that covers the
 number of parts, so runner k-1 always feeds quotient component k and the
-decomposition does not depend on presentation.  A separate diagram-level
-rim hook remover serves as an independent cross-check in the tests.
+decomposition does not depend on presentation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -101,11 +99,6 @@ def e_quotient(mu: Partition, e: int) -> tuple[Partition, ...]:
 
 def is_e_core(mu: Partition, e: int) -> bool:
     return e_core(mu, e) == mu
-
-
-def e_weight(mu: Partition, e: int) -> int:
-    """(|mu| - |core|) / e, the number of e-hooks removed to reach the core."""
-    return (sum(mu) - sum(e_core(mu, e))) // e
 
 
 def from_core_quotient(
@@ -255,83 +248,3 @@ def tower_to_partition(
             for j in range(ell**d)
         ]
     return remainders[0]
-
-
-def tower_weighted_size(levels: tuple[tuple[Partition, ...], ...], ell: int) -> int:
-    return sum(
-        ell**d * sum(sum(core) for core in level) for d, level in enumerate(levels)
-    )
-
-
-# Diagram-level rim hook removal: the independent route used to cross-check
-# the beta-set core computation.  Nothing here touches beta-sets.
-
-
-def _hook_lengths(mu: Partition) -> list[list[int]]:
-    cols = transpose(mu)
-    return [
-        [mu[i] - (j + 1) + cols[j] - (i + 1) + 1 for j in range(mu[i])]
-        for i in range(len(mu))
-    ]
-
-
-def remove_rim_hook(mu: Partition, row: int, col: int, e: int) -> Partition:
-    """Remove the rim e-hook of the cell (row, col), both 1-based."""
-    hooks = _hook_lengths(mu)
-    if hooks[row - 1][col - 1] != e:
-        raise DomainError(f"cell ({row},{col}) has hook {hooks[row-1][col-1]}, not {e}")
-    last = max(i for i in range(len(mu)) if mu[i] >= col) + 1
-    new = list(mu)
-    for t in range(row, last):
-        new[t - 1] = mu[t] - 1
-    new[last - 1] = col - 1
-    return tuple(part for part in new if part > 0)
-
-
-def _removable_cells(mu: Partition, e: int) -> list[tuple[int, int]]:
-    hooks = _hook_lengths(mu)
-    return [
-        (i + 1, j + 1)
-        for i in range(len(mu))
-        for j in range(mu[i])
-        if hooks[i][j] == e
-    ]
-
-
-def rim_hook_core(mu: Partition, e: int) -> Partition:
-    """e-core by repeated rim hook removal, hand in the lowest numbered row."""
-    if e < 1:
-        raise DomainError(f"e must be at least 1, got {e}")
-    if e == 1:
-        return ()
-    while True:
-        cells = _removable_cells(mu, e)
-        if not cells:
-            return mu
-        row, col = min(cells)
-        mu = remove_rim_hook(mu, row, col, e)
-
-
-def rim_hook_cores_all_orders(mu: Partition, e: int) -> set[Partition]:
-    """Every core reachable by rim hook removals in any order (should be one)."""
-    if e == 1:
-        return {()}
-
-    @lru_cache(maxsize=None)
-    def reachable(nu: Partition) -> frozenset[Partition]:
-        cells = _removable_cells(nu, e)
-        if not cells:
-            return frozenset((nu,))
-        out: set[Partition] = set()
-        for row, col in cells:
-            out |= reachable(remove_rim_hook(nu, row, col, e))
-        return frozenset(out)
-
-    return set(reachable(mu))
-
-
-def all_partitions_upto(m: int) -> list[Partition]:
-    """All partitions of every size from 0 to m; a test grid helper."""
-    return list(
-        itertools.chain.from_iterable(enumerate_partitions(k) for k in range(m + 1))
-    )

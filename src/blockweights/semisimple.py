@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import InstanceParams, ell_prime_part, mult_order
+from .arith import InstanceParams, ell_prime_part
 from .errors import DomainError, InvariantViolationError
 
 
@@ -55,35 +55,36 @@ class FrobeniusOrbit(NamedTuple):
         return len(self.elements)
 
 
-def _twist(sigma: RootLabel, eq: int) -> RootLabel:
+def _twist_step(sigma: RootLabel, d: int, eq: int) -> RootLabel:
     if sigma.den == 1:
         return sigma
-    u = eq % sigma.den
-    if math.gcd(u, sigma.den) != 1:
-        raise DomainError(f"denominator {sigma.den} is not coprime to {eq}")
+    u = pow(eq, d, sigma.den)
     return RootLabel(sigma.den, sigma.num * u % sigma.den)
 
 
-def twist(sigma: RootLabel, params: InstanceParams) -> RootLabel:
-    """Apply sigma -> sigma**(eps q)."""
-    return _twist(sigma, params.eq)
+def suborbit(sigma: RootLabel, d: int, eq: int) -> tuple[RootLabel, ...]:
+    """Iterates of the d-fold twist sigma -> sigma**(eq**d) starting at sigma.
 
-
-def degree_of(sigma: RootLabel, params: InstanceParams) -> int:
-    """Smallest d with (eps q)**d = 1 mod den, the size of sigma's orbit."""
-    return mult_order(params.eq % sigma.den if sigma.den > 1 else 0, sigma.den)
+    Has deg(sigma) / gcd(d, deg(sigma)) elements; d = 1 walks the orbit.
+    """
+    if d < 1:
+        raise DomainError(f"step must be at least 1, got {d}")
+    if math.gcd(eq, sigma.den) != 1:
+        raise DomainError(f"denominator {sigma.den} is not coprime to {eq}")
+    elems = [sigma]
+    x = _twist_step(sigma, d, eq)
+    while x != sigma:
+        elems.append(x)
+        x = _twist_step(x, d, eq)
+    return tuple(elems)
 
 
 @lru_cache(maxsize=None)
 def _orbit_of(sigma: RootLabel, eq: int) -> FrobeniusOrbit:
-    elems = [sigma]
-    x = _twist(sigma, eq)
-    while x != sigma:
-        elems.append(x)
-        x = _twist(x, eq)
+    elems = suborbit(sigma, 1, eq)
     start = elems.index(min(elems))
     rotated = elems[start:] + elems[:start]
-    return FrobeniusOrbit(rotated[0], tuple(rotated))
+    return FrobeniusOrbit(rotated[0], rotated)
 
 
 def orbit_of(sigma: RootLabel, params: InstanceParams) -> FrobeniusOrbit:
@@ -115,31 +116,6 @@ def act_on_orbit(
 def _acted_rep(z: RootLabel, rep: RootLabel, eq: int) -> RootLabel:
     """Canonical representative of the z-translate of the orbit through rep."""
     return _orbit_of(center_act(z, rep), eq).rep
-
-
-def _twist_step(sigma: RootLabel, d: int, eq: int) -> RootLabel:
-    if sigma.den == 1:
-        return sigma
-    u = pow(eq, d, sigma.den)
-    return RootLabel(sigma.den, sigma.num * u % sigma.den)
-
-
-def suborbit(sigma: RootLabel, d: int, params: InstanceParams) -> tuple[RootLabel, ...]:
-    """Iterates of the d-fold twist starting at sigma.
-
-    Has deg(sigma) / gcd(d, deg(sigma)) elements.
-    """
-    if d < 1:
-        raise DomainError(f"step must be at least 1, got {d}")
-    eq = params.eq
-    if math.gcd(eq, sigma.den) != 1:
-        raise DomainError(f"denominator {sigma.den} is not coprime to {eq}")
-    elems = [sigma]
-    x = _twist_step(sigma, d, eq)
-    while x != sigma:
-        elems.append(x)
-        x = _twist_step(x, d, eq)
-    return tuple(elems)
 
 
 def _divisors(m: int) -> list[int]:

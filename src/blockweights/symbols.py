@@ -70,7 +70,6 @@ from .semisimple import (
     IDENTITY,
     RootLabel,
     _orbit_of,
-    _twist_step,
     act_on_orbit,
     center_act,
     center_elements,
@@ -337,42 +336,9 @@ def _suborbit_step(deg: int, m: int, lam_size: int, params: InstanceParams):
     return 2
 
 
-def block_suborbit_set(
-    orbit: FrobeniusOrbit, m: int, lam: Partition, params: InstanceParams
-) -> tuple[RootLabel, ...]:
-    """The constraint suborbit attached to one block entry; may be empty."""
-    if m < 1:
-        raise DomainError(f"multiplicity must be positive, got {m}")
-    ei = e_gamma(orbit.size, params)
-    if not is_e_core(lam, ei):
-        raise DomainError(f"{lam} is not an {ei}-core")
-    if sum(lam) > m or (m - sum(lam)) % ei != 0:
-        raise DomainError(f"core {lam} incompatible with multiplicity {m}")
-    step = _suborbit_step(orbit.size, m, sum(lam), params)
-    if step is None:
-        return ()
-    sub = suborbit(orbit.rep, step, params)
-    expected, rem = divmod(ei * orbit.size, params.e)
-    if rem or len(sub) != expected:
-        raise InvariantViolationError(
-            f"suborbit of {orbit.rep} has {len(sub)} elements, expected {expected}"
-        )
-    return sub
-
-
-@lru_cache(maxsize=None)
-def _suborbit_elems(rep: RootLabel, step: int, eq: int) -> frozenset[RootLabel]:
-    out = [rep]
-    x = _twist_step(rep, step, eq)
-    while x != rep:
-        out.append(x)
-        x = _twist_step(x, step, eq)
-    return frozenset(out)
-
-
 @lru_cache(maxsize=None)
 def _z_fixes_cycle(z: RootLabel, rep: RootLabel, step: int, eq: int) -> bool:
-    elems = _suborbit_elems(rep, step, eq)
+    elems = frozenset(suborbit(rep, step, eq))
     return frozenset(center_act(z, x) for x in elems) == elems
 
 
@@ -691,5 +657,4 @@ def block_to_jsonable(sym: BlockSymbol) -> list[dict]:
 
 def clear_symbol_caches() -> None:
     """Drop per-regime caches; used between grid regimes to bound memory."""
-    _suborbit_elems.cache_clear()
     _z_fixes_cycle.cache_clear()

@@ -42,30 +42,20 @@ class CoreFunction(NamedTuple):
         return sum(ell ** s[0] * sum(core) for s, core in self.entries)
 
 
-EMPTY_CORE_FUNCTION = CoreFunction(())
-
-
-def core_function(entries) -> CoreFunction:
-    """Canonicalize and validate a list of (slot, core) assignments."""
-    canon = tuple(sorted(((tuple(s), tuple(core)) for s, core in entries)))
-    seen: set[SlotIndex] = set()
-    for slot, core in canon:
-        d, k, j = slot
-        if d < 0 or k < 1 or j < 1:
-            raise DomainError(f"bad slot {slot}")
-        if slot in seen:
-            raise DomainError(f"slot {slot} assigned twice")
-        seen.add(slot)
-        if not core:
-            raise DomainError("empty cores are not stored; omit the slot")
-    return CoreFunction(canon)
-
-
 def validate_core_function(
     func: CoreFunction, h: int, w: int, ell: int
 ) -> None:
-    """Check membership in the slot space for h components and weight w."""
-    for (d, k, j), core in func.entries:
+    """Check membership in the slot space for h components and weight w.
+
+    Only the canonical form is a member: slots strictly increasing, so each
+    is assigned once, and every assigned core nonempty.
+    """
+    prev: tuple = ()  # sorts before every slot
+    for slot, core in func.entries:
+        if slot <= prev:
+            raise DomainError(f"slot {slot} is repeated or out of order")
+        prev = slot
+        d, k, j = slot
         if not 1 <= k <= h:
             raise DomainError(f"slot component {k} out of range 1..{h}")
         if not 1 <= j <= ell**d:
@@ -95,8 +85,10 @@ def enumerate_core_functions(
     """
     if w < 0:
         raise DomainError(f"weight must be nonnegative, got {w}")
-    if w == 0:
-        return (EMPTY_CORE_FUNCTION,)
+    if h < 1:
+        raise DomainError(f"component count must be at least 1, got {h}")
+    if ell < 2:
+        raise DomainError(f"ell must be at least 2, got {ell}")
     slots: list[SlotIndex] = []
     d = 0
     while ell**d <= w:

@@ -20,7 +20,7 @@ from blockweights.arith import (
 )
 from blockweights.errors import ConfigurationError, UnsupportedModeError
 from blockweights.oracle import cross_check
-from blockweights.partitions import all_partitions_upto, count_with_core, is_e_core
+from blockweights.partitions import count_with_core, enumerate_partitions, is_e_core
 from blockweights.verify import iter_grid, run_instance
 from blockweights.weights import count_core_functions
 
@@ -92,7 +92,7 @@ def test_criterion_1_core_function_counting():
     bad = []
     for ell in (2, 3, 5):
         for e in range(1, 6):
-            cores = [lam for lam in all_partitions_upto(6) if is_e_core(lam, e)]
+            cores = [lam for m in range(7) for lam in enumerate_partitions(m) if is_e_core(lam, e)]
             for w in range(8):
                 expected = count_core_functions(e, w, ell)
                 for lam in cores:

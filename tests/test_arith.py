@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from blockweights.arith import (
     InstanceParams,
-    e0_of,
     e_gamma,
     ell_part,
     ell_prime_part,
@@ -72,21 +71,6 @@ def test_mult_order_is_minimal(m, b):
         assert pow(b, s, m) != 1
 
 
-def test_e0_known():
-    assert e0_of(5, 3) == 2
-    assert e0_of(5, 2) == 1
-    assert e0_of(3, 2) == 2
-    assert e0_of(4, 3) == 1
-    assert e0_of(2, 7) == 3
-
-
-def test_e0_rejects_defining_characteristic():
-    with pytest.raises(DomainError):
-        e0_of(9, 3)
-    with pytest.raises(DomainError):
-        e0_of(8, 2)
-
-
 def test_valuation_known():
     assert ell_valuation_and_parts(24, 2) == (3, 8, 3)
     assert ell_valuation_and_parts(7, 2) == (0, 1, 7)
@@ -137,7 +121,7 @@ def test_e_relates_to_e0_across_grid():
         for ell in PRIMES_TO_50:
             if ell == 2 or ell == p:
                 continue
-            e0 = e0_of(q, ell)
+            e0 = mult_order(q, ell)
             assert make_params(n=1, q=q, eps=1, ell=ell).e == e0
             e_minus = make_params(n=1, q=q, eps=-1, ell=ell).e
             if e0 % 2 == 1:

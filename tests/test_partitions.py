@@ -1,4 +1,4 @@
-import math
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from blockweights.errors import DomainError
 from blockweights.partitions import (
-    all_partitions_upto,
     as_partition,
     beta_set,
     core_tower,
@@ -15,19 +14,85 @@ from blockweights.partitions import (
     distinct_cores,
     e_core,
     e_quotient,
-    e_weight,
     enumerate_partitions,
     enumerate_with_core,
     from_core_quotient,
     is_e_core,
     partition_count,
     partition_from_beta,
-    rim_hook_core,
-    rim_hook_cores_all_orders,
     tower_to_partition,
-    tower_weighted_size,
     transpose,
 )
+
+
+def all_partitions_upto(m):
+    """All partitions of every size from 0 to m."""
+    return [mu for k in range(m + 1) for mu in enumerate_partitions(k)]
+
+
+# Diagram-level rim hook removal: the independent route that cross-checks
+# the beta-set core computation.  Nothing here touches beta-sets.
+
+
+def _hook_lengths(mu):
+    cols = transpose(mu)
+    return [
+        [mu[i] - (j + 1) + cols[j] - (i + 1) + 1 for j in range(mu[i])]
+        for i in range(len(mu))
+    ]
+
+
+def remove_rim_hook(mu, row, col, e):
+    """Remove the rim e-hook of the cell (row, col), both 1-based."""
+    hooks = _hook_lengths(mu)
+    if hooks[row - 1][col - 1] != e:
+        raise DomainError(f"cell ({row},{col}) has hook {hooks[row-1][col-1]}, not {e}")
+    last = max(i for i in range(len(mu)) if mu[i] >= col) + 1
+    new = list(mu)
+    for t in range(row, last):
+        new[t - 1] = mu[t] - 1
+    new[last - 1] = col - 1
+    return tuple(part for part in new if part > 0)
+
+
+def _removable_cells(mu, e):
+    hooks = _hook_lengths(mu)
+    return [
+        (i + 1, j + 1)
+        for i in range(len(mu))
+        for j in range(mu[i])
+        if hooks[i][j] == e
+    ]
+
+
+def rim_hook_core(mu, e):
+    """e-core by repeated rim hook removal, hook in the lowest numbered row."""
+    if e == 1:
+        return ()
+    while True:
+        cells = _removable_cells(mu, e)
+        if not cells:
+            return mu
+        row, col = min(cells)
+        mu = remove_rim_hook(mu, row, col, e)
+
+
+def rim_hook_cores_all_orders(mu, e):
+    """Every core reachable by rim hook removals in any order (should be one)."""
+    if e == 1:
+        return {()}
+
+    @lru_cache(maxsize=None)
+    def reachable(nu):
+        cells = _removable_cells(nu, e)
+        if not cells:
+            return frozenset((nu,))
+        out = set()
+        for row, col in cells:
+            out |= reachable(remove_rim_hook(nu, row, col, e))
+        return frozenset(out)
+
+    return set(reachable(mu))
 
 
 @st.composite
@@ -114,7 +179,6 @@ def test_e_core_idempotent_and_congruent(mu, e):
     assert e_core(core, e) == core
     assert is_e_core(core, e)
     assert (sum(mu) - sum(core)) % e == 0
-    assert e_weight(mu, e) == (sum(mu) - sum(core)) // e
 
 
 def test_is_e_core_known():
@@ -220,7 +284,7 @@ def test_core_tower_round_trip():
         for nu in all_partitions_upto(9):
             levels = core_tower(nu, ell)
             assert tower_to_partition(levels, ell) == nu
-            assert tower_weighted_size(levels, ell) == sum(nu)
+            assert sum(ell**d * sum(map(sum, level)) for d, level in enumerate(levels)) == sum(nu)
 
 
 def test_core_tower_level_shapes():
@@ -240,8 +304,6 @@ def test_tower_to_partition_rejects():
 
 
 def test_hook_removal_known():
-    from blockweights.partitions import remove_rim_hook
-
     assert remove_rim_hook((2,), 1, 1, 2) == ()
     assert remove_rim_hook((2, 2), 1, 2, 2) == (1, 1)
     with pytest.raises(DomainError):

@@ -3,16 +3,18 @@ import dataclasses
 import pytest
 
 from blockweights import symbols, verify
-from blockweights.arith import make_params
+from blockweights.arith import e_gamma, make_params
 from blockweights.errors import DomainError, InvariantViolationError, UnsupportedModeError
 from blockweights.semisimple import (
+    IDENTITY,
     center_act,
     center_elements,
     enumerate_ellprime_orbits,
     orbit_of,
     root_label,
+    suborbit,
 )
-from blockweights.weights import core_function
+from blockweights.weights import CoreFunction
 from blockweights.symbols import (
     AdmissibleSymbol,
     BlockSymbol,
@@ -21,7 +23,6 @@ from blockweights.symbols import (
     admissible_symbol,
     block_counts,
     block_of,
-    block_suborbit_set,
     block_symbol,
     count_symbols_in_block,
     count_weight_symbols_in_block,
@@ -66,6 +67,18 @@ def orbit_and_stabilizer(sym, params):
     stab, rem = divmod(center.order, len(orbit))
     assert rem == 0
     return orbit, stab
+
+
+def block_suborbit_set(orbit, m, lam, params):
+    """Reference: the constraint suborbit of one block entry, which may be
+    empty, with its size e_gamma(deg) * deg / e checked."""
+    step = symbols._suborbit_step(orbit.size, m, sum(lam), params)
+    if step is None:
+        return ()
+    sub = suborbit(orbit.rep, step, params.eq)
+    expected, rem = divmod(e_gamma(orbit.size, params) * orbit.size, params.e)
+    assert rem == 0 and len(sub) == expected
+    return sub
 
 
 def block_c1_c2(block, params):
@@ -124,11 +137,23 @@ def test_block_constructor_validates():
 
 def test_weight_constructor_validates():
     base = (orb(0, 1), 2, ())
-    weight_symbol([base + (core_function([((0, 1, 1), (1,))]),)], P25)
+    weight_symbol([base + (CoreFunction((((0, 1, 1), (1,)),)),)], P25)
     with pytest.raises(DomainError):
-        weight_symbol([base + (core_function([((0, 1, 1), (2,))]),)], P25)
+        weight_symbol([base + (CoreFunction((((0, 1, 1), (2,)),)),)], P25)
     with pytest.raises(DomainError):
-        weight_symbol([base + (core_function(()),)], P25)
+        weight_symbol([base + (CoreFunction(()),)], P25)
+    # Core functions of the right weighted size that are not canonical: a
+    # repeated slot, and two slots out of order.
+    p45 = make_params(n=4, q=5, eps=1, ell=3)
+    base = (orbit_of(IDENTITY, p45), 4, ())
+    for entries in (
+        (((0, 1, 1), (1,)), ((0, 1, 1), (1,))),
+        (((0, 2, 1), (1,)), ((0, 1, 1), (1,))),
+    ):
+        with pytest.raises(DomainError):
+            weight_symbol([base + (CoreFunction(entries),)], p45)
+        with pytest.raises(DomainError):
+            from_weight_symbol(WeightSymbol((base + (CoreFunction(entries),),)), p45)
 
 
 def test_block_enumeration_worked_instance():

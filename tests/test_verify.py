@@ -1,12 +1,15 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import stat
 import threading
 
 import pytest
 
+import blockweights
 from blockweights import cli
 from blockweights.arith import make_params, prime_power_decomposition
 from blockweights.errors import ConfigurationError, InvariantViolationError
@@ -448,3 +451,28 @@ def test_cli_verify_prints_verdicts_before_the_report(monkeypatch, capsys):
     assert len(verdicts) == 8
     assert not any(line.startswith(("ok:", "FAIL:")) for line in out.err.splitlines())
     assert out.out == reports_to_json(run_grid([make_params(*k) for k in order]))
+
+
+def test_src_holds_no_test_only_code():
+    """Every top-level function and class of the package is named somewhere
+    in the package (a Name or an Attribute), exported in __all__, or the
+    console entry point cli.main.  A helper that only tests call belongs in
+    the tests."""
+    package = pathlib.Path(blockweights.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    kept = named | set(blockweights.__all__)
+    unused = sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in kept
+        and (module, node.name) != ("cli", "main")
+    )
+    assert unused == []

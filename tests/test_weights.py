@@ -5,7 +5,6 @@ from blockweights.errors import DomainError
 from blockweights.partitions import count_with_core, distinct_cores, is_e_core
 from blockweights.weights import (
     CoreFunction,
-    core_function,
     count_core_functions,
     ell_cores_of_size,
     enumerate_core_functions,
@@ -46,6 +45,16 @@ def test_count_core_functions_refuses_ell_below_two(monkeypatch):
     monkeypatch.setattr(weights, "_poly_pow", capped_pow)
     with pytest.raises(DomainError):
         count_core_functions(1, 1, 1)
+
+
+def test_enumerate_core_functions_refuses_at_weight_zero():
+    """As count_core_functions does: the parameter checks come before the
+    weight, so w = 0 is no way around them."""
+    for h, ell in ((1, 1), (0, 2)):
+        with pytest.raises(DomainError):
+            enumerate_core_functions(h, 0, ell)
+        with pytest.raises(DomainError):
+            count_core_functions(h, 0, ell)
 
 
 def test_ell_cores_of_size():
@@ -100,23 +109,31 @@ def test_enumerated_functions_validate():
                         assert 1 <= j <= ell**d
 
 
+def cf(*entries):
+    return CoreFunction(tuple(entries))
+
+
 def test_validate_rejects():
-    f = core_function([((0, 2, 1), (1,))])
     with pytest.raises(DomainError):
-        validate_core_function(f, 1, 1, 3)
+        validate_core_function(cf(((0, 2, 1), (1,))), 1, 1, 3)
     with pytest.raises(DomainError):
-        validate_core_function(core_function([((1, 1, 3), (1,))]), 1, 2, 2)
+        validate_core_function(cf(((1, 1, 3), (1,))), 1, 2, 2)
     with pytest.raises(DomainError):
-        validate_core_function(core_function([((0, 1, 1), (2,))]), 1, 2, 2)
+        validate_core_function(cf(((0, 1, 1), (2,))), 1, 2, 2)
     with pytest.raises(DomainError):
-        validate_core_function(core_function([((0, 1, 1), (1,))]), 1, 2, 3)
-
-
-def test_core_function_constructor_rejects():
+        validate_core_function(cf(((0, 1, 1), (1,))), 1, 2, 3)
+    # An empty core is not stored.
     with pytest.raises(DomainError):
-        core_function([((0, 1, 1), ())])
+        validate_core_function(cf(((0, 1, 1), ())), 1, 0, 3)
+    # Each slot once, in increasing order: the right weighted size alone
+    # does not make a member.
     with pytest.raises(DomainError):
-        core_function([((0, 1, 1), (1,)), ((0, 1, 1), (2,))])
+        validate_core_function(cf(((0, 1, 1), (1,)), ((0, 1, 1), (2,))), 1, 3, 3)
+    with pytest.raises(DomainError):
+        validate_core_function(cf(((0, 1, 1), (1,)), ((0, 1, 1), (1,))), 2, 2, 3)
+    with pytest.raises(DomainError):
+        validate_core_function(cf(((0, 2, 1), (1,)), ((0, 1, 1), (1,))), 2, 2, 3)
+    validate_core_function(cf(((0, 1, 1), (1,)), ((0, 2, 1), (1,))), 2, 2, 3)
 
 
 def test_counting_identity_with_partition_cores():
