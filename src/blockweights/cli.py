@@ -28,6 +28,11 @@ from .oracle import cross_check
 from .verify import iter_grid, report_order, reports_to_csv, reports_to_json
 
 
+# The most values one --n, --q or --ell list may hold.  A range is measured
+# before it is expanded, so a huge one is refused without allocating it.
+MAX_LIST_VALUES = 10_000
+
+
 def _parse_int_list(text: str, what: str) -> list[int]:
     """Comma separated integers and A..B ranges, deduplicated and sorted."""
     out: set[int] = set()
@@ -41,11 +46,15 @@ def _parse_int_list(text: str, what: str) -> list[int]:
                 lo, hi = int(lo_text), int(hi_text)
                 if hi < lo:
                     raise ValueError
-                out.update(range(lo, hi + 1))
             else:
-                out.add(int(token))
+                lo = hi = int(token)
         except ValueError:
             raise ConfigurationError(f"cannot parse {what} token {token!r}")
+        if len(out) + (hi - lo + 1) > MAX_LIST_VALUES:
+            raise ConfigurationError(
+                f"{what} lists more than {MAX_LIST_VALUES} values"
+            )
+        out.update(range(lo, hi + 1))
     if not out:
         raise ConfigurationError(f"empty {what} list")
     return sorted(out)

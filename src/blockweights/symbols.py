@@ -23,11 +23,14 @@ the per-block kernel, gives kappa_b = |C1 intersect C2|, the per-SL-block
 restriction sums with their divisibility and the bijection checks
 (kappa_block, sl_block_report).
 
-A central element outside the block stabilizer C1 moves every label of a
-block into another block, so the kernel scans the labels of a block under
-C1 only.  Every sum over orbits is counted by orbit-stabilizer: a label with
-stabilizer order k lies in an orbit of |G| / k labels, so summing k^2 / |G|
-over all labels adds k once per orbit.  Per block G is C1, whose orbits are
+The labels of a block are products over its slots (orbit, m, core), so the
+kernel counts and checks the GL side once per slot shape (_slot_counts).  A
+central element outside the block stabilizer C1 moves every label of a
+block into another block, so where C1 is trivial every label stabilizer is
+1 and the kernel builds no label; it scans the labels of the other blocks
+under C1 only.  Every sum over orbits is counted by orbit-stabilizer: a
+label with stabilizer order k lies in an orbit of |G| / k labels, so summing
+k^2 / |G| over all labels adds k once per orbit.  Per block G is C1, whose orbits are
 where the center orbits meet the block, and the sums are the per-SL-block
 counts; over the blocks of an instance G is the center, and the symbol sum
 is the number of Brauer characters of SL_n(eps q).
@@ -230,12 +233,10 @@ def symbols_in_block(
 ) -> tuple[AdmissibleSymbol, ...]:
     """All admissible symbols with the given block symbol, sorted."""
     table = params.e_gamma_table
-    per_slot = []
-    for orb, m, lam in block.triples:
-        choices = enumerate_with_core(m, table[orb.size - 1], lam)
-        if not choices:
-            raise InvariantViolationError(f"block slot ({orb.rep},{m},{lam}) is empty")
-        per_slot.append(choices)
+    per_slot = [
+        enumerate_with_core(m, table[orb.size - 1], lam)
+        for orb, m, lam in block.triples
+    ]
     out = [
         AdmissibleSymbol(
             tuple((orb, mu) for (orb, _, _), mu in zip(block.triples, combo))
@@ -244,14 +245,6 @@ def symbols_in_block(
     ]
     out.sort()
     return tuple(out)
-
-
-def count_symbols_in_block(block: BlockSymbol, params: InstanceParams) -> int:
-    table = params.e_gamma_table
-    count = 1
-    for orb, m, lam in block.triples:
-        count *= count_with_core(m, table[orb.size - 1], lam)
-    return count
 
 
 def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
@@ -384,15 +377,6 @@ def weight_symbols_in_block(
     return tuple(out)
 
 
-def count_weight_symbols_in_block(block: BlockSymbol, params: InstanceParams) -> int:
-    table = params.e_gamma_table
-    count = 1
-    for orb, m, lam in block.triples:
-        ei = table[orb.size - 1]
-        count *= count_core_functions(ei, (m - sum(lam)) // ei, params.ell)
-    return count
-
-
 # The block preserving relabeling between admissible and weight symbols:
 # per pair, the partition is traded for its core together with the core
 # towers of its quotient components, spread over slots.
@@ -460,7 +444,8 @@ def from_weight_symbol(sym: WeightSymbol, params: InstanceParams) -> AdmissibleS
 
 
 # The per-block kernel: the GL counts, the bijection checks and every
-# quantity of the SL descent of one block, from one pass over its labels.
+# quantity of the SL descent of one block, from its slots and, where its
+# stabilizer in the center is nontrivial, one pass over its labels.
 
 REFUSAL_ELL_TWO = "ell=2 upper bound only"
 REFUSAL_GCD = "ell divides gcd(n, q-eps)"
@@ -507,9 +492,45 @@ class BlockCounts(NamedTuple):
     failed: tuple[str, ...]
 
 
+@lru_cache(maxsize=None)
+def _slot_counts(m: int, e: int, lam: Partition, ell: int):
+    """The counts and GL checks of one block slot: multiplicity m, e-core
+    lam, with e = e_gamma of the orbit degree.
+
+    Returns the closed-form counts of partitions (count_with_core) and of
+    core functions (count_core_functions), the lengths of their lists
+    (enumerate_with_core, enumerate_core_functions), and the names of the
+    checks that fail on the slot.  Each partition mu of the list must
+    relabel by _weight_data to (m, lam, f) with f in the core-function list
+    (bijection_block_preserved); validate_core_function must accept f, and
+    raises DomainError as from_weight_symbol does when it does not; and
+    _brauer_partition must bring f back to mu (bijection_roundtrip).
+    """
+    w = (m - sum(lam)) // e
+    mus = enumerate_with_core(m, e, lam)
+    funcs = enumerate_core_functions(e, w, ell)
+    members = set(funcs)
+    failed = set()
+    for mu in mus:
+        m_mu, lam_mu, func = _weight_data(mu, e, ell)
+        if (m_mu, lam_mu) != (m, lam) or func not in members:
+            failed.add("bijection_block_preserved")
+            continue
+        validate_core_function(func, e, w, ell)
+        if _brauer_partition(m, lam, func.entries, e, ell) != mu:
+            failed.add("bijection_roundtrip")
+    return (
+        count_with_core(m, e, lam),
+        count_core_functions(e, w, ell),
+        len(mus),
+        len(funcs),
+        frozenset(failed),
+    )
+
+
 def block_counts(blocks, params: InstanceParams):
     """Yield one BlockCounts per block, in order: count, restrict to SL and
-    check each block in one pass over its labels.
+    check each block.
 
     The SL quantities are computed whether or not sl_refusal admits the
     instance; callers decide whether they apply.  On an admitted instance
@@ -517,13 +538,33 @@ def block_counts(blocks, params: InstanceParams):
     stabilizer order of a symbol is its full kappa
     (test_symbols::test_kappa_ell_is_one_when_gcd_is_ellprime).
 
-    With to = to_weight_symbol and from = from_weight_symbol, the bijection
-    checks at every symbol s of every block of an instance prove:
+    Product lemma.  A block is a tuple of slots (orbit, m, lam) over
+    distinct orbits.  Its symbols are the Cartesian product over the slots
+    of the partitions of m with e-core lam, e = e_gamma(orbit size), and its
+    weight symbols that of the core functions on e components of weight
+    (m - |lam|) / e (test_symbols::test_labels_of_a_block_are_slot_products).
+    to = to_weight_symbol and from = from_weight_symbol act entry by entry:
+    each keeps the orbit and reads it only through e
+    (test_symbols::test_to_weight_symbol_is_entry_by_entry).  So every GL
+    count and check of a block is a product or a union over its slots, and
+    _slot_counts runs each once per slot (m, e, lam, ell):
 
+    * gl_blockwise_awc: the closed-form symbol and weight counts agree.
+    * counts_match: they equal the lengths of the lists.
     * bijection_roundtrip, from(to(s)) == s: to is injective.
     * bijection_block_preserved, to(s) is a weight symbol of the block: as
-      the block has as many weight symbols as symbols (counts_match,
-      gl_blockwise_awc), to is onto them and to(from(w)) == w for each.
+      the block has as many weight symbols as symbols (the two checks
+      above), to is onto them and to(from(w)) == w for each.
+
+    The center.  A central element outside the block stabilizer C1 moves
+    every label of the block into another block, so the stabilizer of a
+    label lies in C1.  When C1 = 1, every label stabilizer is 1 and
+    kappa_b = 1: the squared stabilizer sums are the list lengths,
+    kappa_divisibility and bijection_kappa_preserved hold, and no label is
+    built.  A block with C1 != 1 scans its labels under C1:
+
+    * kappa_divisibility asks that kappa_b divide the stabilizer order of
+      every symbol and weight symbol of the block.
     * bijection_kappa_preserved, equal stabilizers in C1: equal in the
       whole center, since a z fixing a label fixes its block
       (test_symbols::test_z_act_commutes_with_block_of).
@@ -533,25 +574,45 @@ def block_counts(blocks, params: InstanceParams):
       first block, so the check holds at one s of it, and at every s' = y s
       too, as z_act is a group action
       (test_symbols::test_z_act_is_a_group_action_on_symbols), so
-      to(z s') = to(zy s) = zy to(s) = z to(s').  Both sides act on labels
-      by the one z_act, and labels compare as their own keys.
+      to(z s') = to(zy s) = zy to(s) = z to(s').
 
-    kappa_divisibility asks that kappa_b divide the stabilizer order of
-    every symbol and weight symbol of the block.  The per-SL-block sums are
-    counted by orbit-stabilizer in C1 and divided by |C1| kappa_b; a
-    remainder fails sl_blockwise_awc.
+    Equivariance needs no labels where C1 = 1.  z s translates the orbit of
+    each entry of s and keeps its partition, so by the product lemma to(z s)
+    and z to(s) have the same entries, except that one reads e at the size
+    of z orb and the other at that of orb; both sort their entries by the
+    distinct orbits.  act_on_orbit raises if z changes the size of an
+    orbit, and the scan that finds C1 acts with every z on every orbit of
+    the first block of each block center orbit, which is every orbit of its
+    other blocks moved by some y; so to(z s) == z to(s) on them all
+    (test_symbols::test_to_weight_symbol_commutes_with_z_act checks it at
+    every z and every symbol of every block).
+
+    The per-SL-block sums are counted by orbit-stabilizer in C1 and divided
+    by |C1| kappa_b; a remainder fails sl_blockwise_awc.
     """
     eq = params.eq
+    ell = params.ell
+    table = params.e_gamma_table
     zs_rest = center_elements(params).elements[1:]
     # The center orbit members of blocks already met that are still to
     # come, each mapped to the C1 list of its orbit.
     pending: dict = {}
     for block in blocks:
         failed: set[str] = set()
-        nsym = count_symbols_in_block(block, params)
-        nwt = count_weight_symbols_in_block(block, params)
+        nsym = nwt = listed_sym = listed_wt = 1
+        for orb, m, lam in block.triples:
+            slot_sym, slot_wt, slot_listed_sym, slot_listed_wt, slot_failed = (
+                _slot_counts(m, table[orb.size - 1], lam, ell)
+            )
+            nsym *= slot_sym
+            nwt *= slot_wt
+            listed_sym *= slot_listed_sym
+            listed_wt *= slot_listed_wt
+            failed |= slot_failed
         if nsym != nwt:
             failed.add("gl_blockwise_awc")
+        if (listed_sym, listed_wt) != (nsym, nwt):
+            failed.add("counts_match")
         # kappa_b = |C1 intersect C2|: C1 is the setwise stabilizer of the
         # block in the center, C2 the elements that fix every constraint
         # suborbit of it.  The center is abelian, so C1(z B) = C1(B): the
@@ -568,52 +629,43 @@ def block_counts(blocks, params: InstanceParams):
                     pending[acted] = c1_rest
         else:
             c1_rest = pending.pop(block)
+
         kappa_b = 1
+        # C1 = 1: every stabilizer is 1, each squared stabilizer sum is the
+        # number of labels.
+        stab_sq_sum = listed_sym
+        wt_sq_sum = listed_wt
         if c1_rest:
             steps = _block_steps(block, params)
             for z in c1_rest:
                 if all(_z_fixes_cycle(z, rep, step, eq) for rep, step in steps):
                     kappa_b += 1
-
-        # A central element outside C1 moves every label of the block out of
-        # it, so the stabilizer of a label lies in C1: the label scans run
-        # over C1 only.
-        #
-        # Weight side first: stabilizers by weight symbol, so the bijection
-        # checks below can match into them.
-        wt_list = weight_symbols_in_block(block, params)
-        if len(wt_list) != nwt:
-            failed.add("counts_match")
-        wt_stab: dict = {}
-        wt_sq_sum = 0
-        for w in wt_list:
-            stab = wt_stab[w] = _stabilizer(w, c1_rest, params)
-            wt_sq_sum += stab * stab
-            if stab % kappa_b:
-                failed.add("kappa_divisibility")
-
-        sym_list = symbols_in_block(block, params)
-        if len(sym_list) != nsym:
-            failed.add("counts_match")
-        stab_sq_sum = 0
-        for s in sym_list:
-            stab = _stabilizer(s, c1_rest, params)
-            stab_sq_sum += stab * stab
-            if stab % kappa_b:
-                failed.add("kappa_divisibility")
-            image = to_weight_symbol(s, params)
-            if from_weight_symbol(image, params) != s:
-                failed.add("bijection_roundtrip")
-            image_stab = wt_stab.get(image)
-            if image_stab is None:
-                failed.add("bijection_block_preserved")
-            elif image_stab != stab:
-                failed.add("bijection_kappa_preserved")
-            if is_rep and any(
-                z_act(z, image, params) != to_weight_symbol(z_act(z, s, params), params)
-                for z in zs_rest
-            ):
-                failed.add("bijection_equivariant")
+            # Weight side first: stabilizers by weight symbol, so the
+            # symbols can match into them.
+            wt_stab: dict = {}
+            wt_sq_sum = 0
+            for w in weight_symbols_in_block(block, params):
+                stab = wt_stab[w] = _stabilizer(w, c1_rest, params)
+                wt_sq_sum += stab * stab
+                if stab % kappa_b:
+                    failed.add("kappa_divisibility")
+            stab_sq_sum = 0
+            for s in symbols_in_block(block, params):
+                stab = _stabilizer(s, c1_rest, params)
+                stab_sq_sum += stab * stab
+                if stab % kappa_b:
+                    failed.add("kappa_divisibility")
+                image = to_weight_symbol(s, params)
+                # An image outside the block fails bijection_block_preserved
+                # at its slot.
+                if wt_stab.get(image, stab) != stab:
+                    failed.add("bijection_kappa_preserved")
+                if is_rep and any(
+                    z_act(z, image, params)
+                    != to_weight_symbol(z_act(z, s, params), params)
+                    for z in zs_rest
+                ):
+                    failed.add("bijection_equivariant")
 
         # Orbit-stabilizer in C1: the squared stabilizer orders over |C1|
         # add the stabilizer order of each C1-orbit once, and kappa_b
@@ -658,3 +710,4 @@ def block_to_jsonable(sym: BlockSymbol) -> list[dict]:
 def clear_symbol_caches() -> None:
     """Drop per-regime caches; used between grid regimes to bound memory."""
     _z_fixes_cycle.cache_clear()
+    _slot_counts.cache_clear()

@@ -10,9 +10,12 @@ dictionary of named equality checks:
 * counts_match: closed form counts agree with explicit enumerations;
 * bijection_*: the relabeling between the two families is a bijection on
   each block, preserves stabilizer orders, and commutes with the center
-  (symbols.block_counts proves that its per-symbol checks show this; the
-  center equivariance is checked at every symbol of the first block of each
-  center orbit of blocks);
+  (symbols.block_counts proves that its checks show this).  The bijection
+  is checked once per block slot.  Stabilizers and center equivariance are
+  checked by label only on blocks whose stabilizer C1 in the center is
+  nontrivial, equivariance at every symbol of the first such block of each
+  center orbit of blocks; on the others they follow from the slot
+  structure;
 * kappa_divisibility, sl_blockwise_awc, sl_global_consistency: the SL-level
   counts, run only when symbols.sl_refusal admits the instance (ell odd and
   prime to gcd(n, q - eps)); the rows of a refused instance carry the

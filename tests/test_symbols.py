@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 
 import pytest
 
 from blockweights import symbols, verify
 from blockweights.arith import e_gamma, make_params
 from blockweights.errors import DomainError, InvariantViolationError, UnsupportedModeError
+from blockweights.partitions import count_with_core, enumerate_with_core
 from blockweights.semisimple import (
     IDENTITY,
     center_act,
@@ -14,7 +16,11 @@ from blockweights.semisimple import (
     root_label,
     suborbit,
 )
-from blockweights.weights import CoreFunction
+from blockweights.weights import (
+    CoreFunction,
+    count_core_functions,
+    enumerate_core_functions,
+)
 from blockweights.symbols import (
     AdmissibleSymbol,
     BlockSymbol,
@@ -24,8 +30,6 @@ from blockweights.symbols import (
     block_counts,
     block_of,
     block_symbol,
-    count_symbols_in_block,
-    count_weight_symbols_in_block,
     enumerate_admissible_symbols,
     enumerate_block_symbols,
     from_weight_symbol,
@@ -57,6 +61,9 @@ REFERENCE_INSTANCES = (
     make_params(n=2, q=9, eps=-1, ell=7),
     make_params(n=4, q=5, eps=-1, ell=3),
 )
+
+# The instances the kernel is compared with the label-level reference on.
+KERNEL_INSTANCES = REFERENCE_INSTANCES + (make_params(n=4, q=9, eps=-1, ell=7),)
 
 
 def orbit_and_stabilizer(sym, params):
@@ -107,6 +114,97 @@ def reference_key(label):
     return tuple(
         (orb.rep, (m, lam, func.entries)) for orb, m, lam, func in label.tuples
     )
+
+
+def slot_lists(block, params):
+    """Reference: per slot of a block, its partitions and its core functions."""
+    table = params.e_gamma_table
+    mus, funcs = [], []
+    for orbit, m, lam in block.triples:
+        e = table[orbit.size - 1]
+        mus.append(enumerate_with_core(m, e, lam))
+        funcs.append(enumerate_core_functions(e, (m - sum(lam)) // e, params.ell))
+    return mus, funcs
+
+
+def reference_block_counts(blocks, params):
+    """Reference: the label-level kernel.  On every block it enumerates,
+    relabels and round-trips every symbol, and at the first block of each
+    center orbit it checks equivariance by label, whatever the block's C1."""
+    eq = params.eq
+    table = params.e_gamma_table
+    zs_rest = center_elements(params).elements[1:]
+    pending = {}
+    for block in blocks:
+        failed = set()
+        nsym = nwt = 1
+        for orbit, m, lam in block.triples:
+            e = table[orbit.size - 1]
+            nsym *= count_with_core(m, e, lam)
+            nwt *= count_core_functions(e, (m - sum(lam)) // e, params.ell)
+        if nsym != nwt:
+            failed.add("gl_blockwise_awc")
+        is_rep = block not in pending
+        if is_rep:
+            c1_rest = []
+            for z in zs_rest:
+                acted = z_act(z, block, params)
+                if acted == block:
+                    c1_rest.append(z)
+                else:
+                    pending[acted] = c1_rest
+        else:
+            c1_rest = pending.pop(block)
+        kappa_b = 1
+        if c1_rest:
+            steps = symbols._block_steps(block, params)
+            for z in c1_rest:
+                if all(symbols._z_fixes_cycle(z, rep, step, eq) for rep, step in steps):
+                    kappa_b += 1
+
+        wt_list = weight_symbols_in_block(block, params)
+        if len(wt_list) != nwt:
+            failed.add("counts_match")
+        wt_stab = {}
+        wt_sq_sum = 0
+        for w in wt_list:
+            stab = wt_stab[w] = _stabilizer(w, c1_rest, params)
+            wt_sq_sum += stab * stab
+            if stab % kappa_b:
+                failed.add("kappa_divisibility")
+
+        sym_list = symbols_in_block(block, params)
+        if len(sym_list) != nsym:
+            failed.add("counts_match")
+        stab_sq_sum = 0
+        for s in sym_list:
+            stab = _stabilizer(s, c1_rest, params)
+            stab_sq_sum += stab * stab
+            if stab % kappa_b:
+                failed.add("kappa_divisibility")
+            image = to_weight_symbol(s, params)
+            if from_weight_symbol(image, params) != s:
+                failed.add("bijection_roundtrip")
+            image_stab = wt_stab.get(image)
+            if image_stab is None:
+                failed.add("bijection_block_preserved")
+            elif image_stab != stab:
+                failed.add("bijection_kappa_preserved")
+            if is_rep and any(
+                z_act(z, image, params) != to_weight_symbol(z_act(z, s, params), params)
+                for z in zs_rest
+            ):
+                failed.add("bijection_equivariant")
+
+        per_sl_block = (1 + len(c1_rest)) * kappa_b
+        sl_ibr, ibr_rem = divmod(stab_sq_sum, per_sl_block)
+        sl_weights, wt_rem = divmod(wt_sq_sum, per_sl_block)
+        if ibr_rem or wt_rem or sl_ibr != sl_weights:
+            failed.add("sl_blockwise_awc")
+        yield symbols.BlockCounts(
+            block, nsym, nwt, kappa_b, is_rep, sl_ibr, sl_weights, stab_sq_sum,
+            tuple(sorted(failed)),
+        )
 
 
 def orb(num, den, params=P25):
@@ -183,7 +281,10 @@ def test_blocks_partition_the_symbols():
         seen = []
         for b in blocks:
             members = symbols_in_block(b, params)
-            assert len(members) == count_symbols_in_block(b, params)
+            expected = 1
+            for orbit, m, lam in b.triples:
+                expected *= count_with_core(m, e_gamma(orbit.size, params), lam)
+            assert len(members) == expected
             for s in members:
                 assert block_of(s, params) == b
             seen.extend(members)
@@ -417,6 +518,88 @@ def test_block_counts_follow_the_input_order_and_subset():
                 ]._replace(is_rep=None)
 
 
+def test_block_counts_equal_the_label_level_reference():
+    """The slot kernel yields the records of the label-level reference on
+    every block of the kernel instances, in the sorted sweep and on the
+    reversed block list."""
+    for params in KERNEL_INSTANCES:
+        blocks = enumerate_block_symbols(params)
+        for given in (blocks, blocks[::-1]):
+            assert list(block_counts(given, params)) == list(
+                reference_block_counts(given, params)
+            )
+
+
+def test_labels_of_a_block_are_slot_products():
+    """Product lemma: the symbols and the weight symbols of a block are the
+    sorted Cartesian products of its per-slot partition and core-function
+    lists."""
+    for params in KERNEL_INSTANCES:
+        for b in enumerate_block_symbols(params):
+            mus, funcs = slot_lists(b, params)
+            symbols_ = sorted(
+                AdmissibleSymbol(
+                    tuple((orbit, mu) for (orbit, _, _), mu in zip(b.triples, combo))
+                )
+                for combo in itertools.product(*mus)
+            )
+            weights = sorted(
+                WeightSymbol(
+                    tuple(
+                        (orbit, m, lam, func)
+                        for (orbit, m, lam), func in zip(b.triples, combo)
+                    )
+                )
+                for combo in itertools.product(*funcs)
+            )
+            assert list(symbols_in_block(b, params)) == symbols_
+            assert list(weight_symbols_in_block(b, params)) == weights
+
+
+def test_to_weight_symbol_is_entry_by_entry():
+    """Product lemma: to_weight_symbol and from_weight_symbol relabel each
+    entry by _weight_data and _brauer_partition, keep its orbit and read it
+    only through e_gamma of its size."""
+    for params in KERNEL_INSTANCES:
+        ell = params.ell
+        for b in enumerate_block_symbols(params):
+            for s in symbols_in_block(b, params):
+                w = WeightSymbol(
+                    tuple(
+                        (orbit, *symbols._weight_data(mu, e_gamma(orbit.size, params), ell))
+                        for orbit, mu in s.pairs
+                    )
+                )
+                assert to_weight_symbol(s, params) == w
+                back = AdmissibleSymbol(
+                    tuple(
+                        (
+                            orbit,
+                            symbols._brauer_partition(
+                                m, lam, func.entries, e_gamma(orbit.size, params), ell
+                            ),
+                        )
+                        for orbit, m, lam, func in w.tuples
+                    )
+                )
+                assert from_weight_symbol(w, params) == back == s
+
+
+def test_to_weight_symbol_commutes_with_z_act():
+    """The equivariance the kernel proves where C1 = 1, checked at every
+    central element and every symbol of every block, not only at the blocks
+    the kernel scans."""
+    for params in KERNEL_INSTANCES:
+        zs = center_elements(params).elements
+        for b in enumerate_block_symbols(params):
+            for s in symbols_in_block(b, params):
+                image = to_weight_symbol(s, params)
+                for z in zs:
+                    assert to_weight_symbol(z_act(z, s, params), params) == z_act(
+                        z, image, params
+                    )
+
+
 def test_kappa_divisibility_sees_a_planted_stabilizer(monkeypatch):
     """Counting every element of C1 in C2 makes kappa_b = |C1|, which exceeds
     the stabilizer of a center orbit meeting a block in two labels; the
@@ -453,6 +636,58 @@ def test_equivariance_check_sees_every_central_element(monkeypatch):
     assert run_instance(params).checks["bijection_equivariant"] is False
 
 
+@pytest.fixture
+def plant(monkeypatch):
+    """monkeypatch.setattr that drops the symbol caches after planting and
+    after undoing: _slot_counts keeps what the code under it returned."""
+
+    def setattr_(*args):
+        monkeypatch.setattr(*args)
+        symbols.clear_symbol_caches()
+
+    yield setattr_
+    monkeypatch.undo()
+    symbols.clear_symbol_caches()
+
+
+# Blocks of P25 whose stabilizer C1 in the center has order 1 and 2.
+PLANT_BLOCKS = (
+    block_symbol([(orb(0, 1), 2, ())], P25),
+    block_symbol([(orb(1, 4), 1, (1,)), (orb(3, 4), 1, (1,))], P25),
+)
+
+
+def gl_fault(check, block, params):
+    """(name in symbols, fake) of a fault the GL check guards against,
+    planted where the kernel reads."""
+    if check == "bijection_roundtrip":
+        # The first partition of the block's first slot comes back wrong.
+        real_brauer = symbols._brauer_partition
+        orbit, m, lam = block.triples[0]
+        target = enumerate_with_core(m, e_gamma(orbit.size, params), lam)[0]
+
+        def wrong_partition(m, lam, entries, e, ell):
+            mu = real_brauer(m, lam, entries, e, ell)
+            return (m + 1,) if mu == target else mu
+
+        return "_brauer_partition", wrong_partition
+    if check == "bijection_block_preserved":
+        # A slot past the e components, so in no core-function list.
+        real_weight_data = symbols._weight_data
+
+        def unlisted_function(mu, e, ell):
+            m, lam, func = real_weight_data(mu, e, ell)
+            return m, lam, CoreFunction(func.entries + (((0, e + 1, 1), (1,)),))
+
+        return "_weight_data", unlisted_function
+    if check == "counts_match":
+        real_with_core = symbols.enumerate_with_core
+        return "enumerate_with_core", lambda m, e, lam: real_with_core(m, e, lam)[:-1]
+    assert check == "gl_blockwise_awc"
+    real_count = symbols.count_core_functions
+    return "count_core_functions", lambda h, w, ell: real_count(h, w, ell) + 1
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -463,48 +698,37 @@ def test_equivariance_check_sees_every_central_element(monkeypatch):
         "gl_blockwise_awc",
     ],
 )
-def test_gl_check_sees_a_planted_fault(check, monkeypatch):
-    """Each GL check of the kernel turns False in run_instance under a fault
-    it guards against: two symbols of a block sent to one weight symbol; a
-    weight list that repeats one weight symbol and misses another, so an
-    image is no weight symbol of its block; weight symbols that look fixed
-    by no central element; a symbol list one short of the closed form; a
-    closed-form weight count one too high."""
-    unipotent = block_symbol([(orb(0, 1), 2, ())], P25)
-    first, second = symbols_in_block(unipotent, P25)
-    real_to = symbols.to_weight_symbol
-    real_weights = symbols.weight_symbols_in_block
-    real_symbols = symbols.symbols_in_block
-    real_count = symbols.count_weight_symbols_in_block
-    real_z_act = symbols.z_act
-    faults = {
-        "bijection_roundtrip": (
-            "to_weight_symbol",
-            lambda s, params: real_to(first if s == second else s, params),
-        ),
-        "bijection_block_preserved": (
-            "weight_symbols_in_block",
-            lambda b, params: real_weights(b, params)[:1]
-            + real_weights(b, params)[:-1],
-        ),
-        "bijection_kappa_preserved": (
+def test_gl_check_sees_a_planted_fault(check, monkeypatch, plant):
+    """Each GL check of the kernel turns False under a fault it guards
+    against, planted where the kernel reads it: one partition of a slot that
+    _brauer_partition does not bring back; core functions from _weight_data
+    that lie in no slot list; slot partition lists one short of the closed
+    form; a closed-form weight count one too high; weight symbols that look
+    fixed by no central element.  The first four sit in the per-slot check
+    and are seen on a block whose stabilizer C1 in the center is trivial
+    and on one where it is not, each alone and in run_instance."""
+    assert [len(block_c1_c2(b, P25)[0]) for b in PLANT_BLOCKS] == [1, 2]
+    assert run_instance(P25).checks[check]
+    if check == "bijection_kappa_preserved":
+        real_z_act = symbols.z_act
+        monkeypatch.setattr(
+            symbols,
             "z_act",
             lambda z, sym, params: ()
             if isinstance(sym, WeightSymbol)
             else real_z_act(z, sym, params),
-        ),
-        "counts_match": (
-            "symbols_in_block",
-            lambda b, params: real_symbols(b, params)[:-1],
-        ),
-        "gl_blockwise_awc": (
-            "count_weight_symbols_in_block",
-            lambda b, params: real_count(b, params) + 1,
-        ),
-    }
-    assert run_instance(P25).checks[check]
-    monkeypatch.setattr(symbols, *faults[check])
-    assert run_instance(P25).checks[check] is False
+        )
+        assert run_instance(P25).checks[check] is False
+        return
+    for block in PLANT_BLOCKS:
+        (clean,) = block_counts((block,), P25)
+        assert check not in clean.failed
+        plant(symbols, *gl_fault(check, block, P25))
+        (counts,) = block_counts((block,), P25)
+        assert check in counts.failed
+        assert run_instance(P25).checks[check] is False
+        monkeypatch.undo()
+        symbols.clear_symbol_caches()
 
 
 @pytest.mark.parametrize(
@@ -548,11 +772,16 @@ def test_sl_check_sees_a_planted_fault(check, fault, monkeypatch):
 
 def test_weight_symbols_per_block_worked_instance():
     blocks = enumerate_block_symbols(P25)
+    total = 0
     for b in blocks:
         ws = weight_symbols_in_block(b, P25)
-        assert len(ws) == count_weight_symbols_in_block(b, P25)
+        count = 1
+        for orbit, m, lam in b.triples:
+            e = e_gamma(orbit.size, P25)
+            count *= count_core_functions(e, (m - sum(lam)) // e, P25.ell)
+        assert len(ws) == count
         assert len(ws) == len(symbols_in_block(b, P25))
-    total = sum(count_weight_symbols_in_block(b, P25) for b in blocks)
+        total += count
     assert total == 16
 
 

@@ -6,6 +6,7 @@ import os
 import pathlib
 import stat
 import threading
+import time
 
 import pytest
 
@@ -254,6 +255,26 @@ def test_cli_verify_rejects_bad_q(capsys):
     out = capsys.readouterr()
     assert rc == 2
     assert "error:" in out.err
+
+
+def test_cli_verify_refuses_a_huge_range_before_expanding_it(capsys):
+    """A list of more than cli.MAX_LIST_VALUES values exits 2 at once: a range
+    is measured before it is expanded, and the tokens of a list count
+    together."""
+    start = time.perf_counter()
+    rc = cli.main(
+        ["verify", "--n", "1..1000000000000", "--q", "5", "--eps", "+1", "--ell", "3"]
+    )
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert rc == 2
+    assert "--n lists more than 10000 values" in out.err
+    rc = cli.main(
+        ["verify", "--n", "2", "--q", "5", "--eps", "+1", "--ell", "3,1..10000"]
+    )
+    assert rc == 2
+    assert "--ell lists more than 10000 values" in capsys.readouterr().err
+    assert cli._parse_int_list("1..10000", "--n") == list(range(1, 10001))
 
 
 def test_cli_exit_one_on_check_failure(monkeypatch, capsys):
