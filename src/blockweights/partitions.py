@@ -135,15 +135,17 @@ def enumerate_partitions(m: int) -> tuple[Partition, ...]:
     """All partitions of m in descending lexicographic order."""
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
+    return tuple(_partitions_below(m, m, ()))
 
-    def gen(remaining: int, cap: int, prefix: Partition):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from gen(remaining - part, part, prefix + (part,))
 
-    return tuple(gen(m, m, ()))
+def _partitions_below(remaining: int, cap: int, prefix: Partition):
+    """Yield prefix extended by each partition of remaining with parts at
+    most cap, in descending lexicographic order."""
+    if remaining == 0:
+        yield prefix
+        return
+    for part in range(min(cap, remaining), 0, -1):
+        yield from _partitions_below(remaining - part, part, prefix + (part,))
 
 
 @lru_cache(maxsize=None)

@@ -100,22 +100,16 @@ def center_act(z: RootLabel, sigma: RootLabel) -> RootLabel:
     return RootLabel(den // g, num // g)
 
 
-def act_on_orbit(
-    z: RootLabel, orbit: FrobeniusOrbit, params: InstanceParams
-) -> FrobeniusOrbit:
-    """Translate a whole orbit by a central element; the size is preserved."""
-    image = _orbit_of(_acted_rep(z, orbit.rep, params.eq), params.eq)
-    if image.size != orbit.size:
+@lru_cache(maxsize=None)
+def act_on_orbit(z: RootLabel, rep: RootLabel, eq: int) -> FrobeniusOrbit:
+    """The canonical z-translate of the orbit through the representative rep;
+    raises if the translation changes the orbit size."""
+    image = _orbit_of(center_act(z, rep), eq)
+    if len(image.elements) != len(_orbit_of(rep, eq).elements):
         raise InvariantViolationError(
-            f"central translation changed orbit size: {orbit.rep} -> {image.rep}"
+            f"central translation changed orbit size: {rep} -> {image.rep}"
         )
     return image
-
-
-@lru_cache(maxsize=None)
-def _acted_rep(z: RootLabel, rep: RootLabel, eq: int) -> RootLabel:
-    """Canonical representative of the z-translate of the orbit through rep."""
-    return _orbit_of(center_act(z, rep), eq).rep
 
 
 def _divisors(m: int) -> list[int]:
@@ -185,4 +179,4 @@ def center_elements(params: InstanceParams) -> CenterGroup:
 def clear_orbit_caches() -> None:
     """Drop per-regime orbit caches; used between grid regimes to bound memory."""
     _orbit_of.cache_clear()
-    _acted_rep.cache_clear()
+    act_on_orbit.cache_clear()

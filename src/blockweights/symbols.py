@@ -181,7 +181,8 @@ def z_act(z: RootLabel, sym, params: InstanceParams):
     if not isinstance(sym, (AdmissibleSymbol, BlockSymbol, WeightSymbol)):
         raise DomainError(f"cannot act on {type(sym).__name__}")
     (entries,) = sym
-    acted = sorted((act_on_orbit(z, orb, params), *rest) for orb, *rest in entries)
+    eq = params.eq
+    acted = sorted((act_on_orbit(z, orb.rep, eq), *rest) for orb, *rest in entries)
     return type(sym)(tuple(acted))
 
 
@@ -247,25 +248,44 @@ def symbols_in_block(
     return tuple(out)
 
 
+def _orbit_choices(degs, by_deg, di: int, budget: int):
+    """Yield every list of (orbit, multiplicity) pairs over distinct orbits
+    of the degrees degs[di:], of total size budget, weighted by degree."""
+    if budget == 0:
+        yield []
+        return
+    if di == len(degs):
+        return
+    d = degs[di]
+    pool = by_deg[d]
+    yield from _orbit_choices(degs, by_deg, di + 1, budget)
+    for t in range(1, budget // d + 1):
+        for shape in enumerate_partitions(t):
+            if len(shape) > len(pool):
+                continue
+            orderings = sorted(set(itertools.permutations(shape)))
+            for orbs in itertools.combinations(pool, len(shape)):
+                for ordering in orderings:
+                    head = list(zip(orbs, ordering))
+                    for rest in _orbit_choices(degs, by_deg, di + 1, budget - d * t):
+                        yield head + rest
+
+
 def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     """All block symbols of the instance, sorted and duplicate free."""
     orbits = enumerate_ellprime_orbits(params)
     by_deg: dict[int, list[FrobeniusOrbit]] = {}
     for orb in orbits:
         by_deg.setdefault(orb.size, []).append(orb)
-    degs = sorted(by_deg)
-    results: list[BlockSymbol] = []
-    chosen: list[tuple[FrobeniusOrbit, int]] = []
-
     table = params.e_gamma_table
-
-    def close_out() -> None:
+    results: list[BlockSymbol] = []
+    for chosen in _orbit_choices(sorted(by_deg), by_deg, 0, params.n):
         base = sorted(chosen)
         if len(base) == 1:
             orb, m = base[0]
             for lam in distinct_cores(m, table[orb.size - 1]):
                 results.append(BlockSymbol(((orb, m, lam),)))
-            return
+            continue
         core_lists = [distinct_cores(m, table[orb.size - 1]) for orb, m in base]
         for combo in itertools.product(*core_lists):
             results.append(
@@ -273,28 +293,6 @@ def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
                     tuple((orb, m, lam) for (orb, m), lam in zip(base, combo))
                 )
             )
-
-    def assign(di: int, budget: int) -> None:
-        if budget == 0:
-            close_out()
-            return
-        if di == len(degs):
-            return
-        d = degs[di]
-        pool = by_deg[d]
-        assign(di + 1, budget)
-        for t in range(1, budget // d + 1):
-            for shape in enumerate_partitions(t):
-                if len(shape) > len(pool):
-                    continue
-                orderings = sorted(set(itertools.permutations(shape)))
-                for orbs in itertools.combinations(pool, len(shape)):
-                    for ordering in orderings:
-                        chosen.extend(zip(orbs, ordering))
-                        assign(di + 1, budget - d * t)
-                        del chosen[-len(shape):]
-
-    assign(0, params.n)
     results.sort()
     return tuple(results)
 
@@ -310,9 +308,13 @@ def enumerate_admissible_symbols(
     return tuple(out)
 
 
-def is_unipotent_block(block: BlockSymbol) -> bool:
-    """True when every orbit of the block is the identity orbit."""
-    return all(orb.rep == IDENTITY for orb, _, _ in block.triples)
+def unipotent_blocks(params: InstanceParams) -> tuple[BlockSymbol, ...]:
+    """The blocks of the identity orbit alone, sorted: one per e-core of a
+    partition of n, with e = e_gamma(1)."""
+    identity = _orbit_of(IDENTITY, params.eq)
+    n = params.n
+    cores = distinct_cores(n, params.e_gamma_table[0])
+    return tuple(sorted(BlockSymbol(((identity, n, lam),)) for lam in cores))
 
 
 # Suborbit constraints and the block stabilizer count.

@@ -40,6 +40,7 @@ its pure-Python encoder, several times slower.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 from dataclasses import dataclass
@@ -54,8 +55,8 @@ from .symbols import (
     block_to_jsonable,
     clear_symbol_caches,
     enumerate_block_symbols,
-    is_unipotent_block,
     sl_refusal,
+    unipotent_blocks,
 )
 
 REFUSAL_FILTERED = "unipotent-only run"
@@ -86,49 +87,70 @@ class InstanceReport:
 def run_instance(
     params: InstanceParams, unipotent_only: bool = False
 ) -> InstanceReport:
-    refusal = REFUSAL_FILTERED if unipotent_only else sl_refusal(params)
-    admitted = refusal is None
-    blocks = enumerate_block_symbols(params)
-    if unipotent_only:
-        blocks = tuple(b for b in blocks if is_unipotent_block(b))
-    checks = dict.fromkeys(GL_CHECKS + (SL_BLOCK_CHECKS if admitted else ()), True)
+    """Verify one instance: every block, or with unipotent_only the blocks
+    of the identity orbit alone, whose report refuses the SL counts.
 
-    rows: list[BlockCounts] = []
-    total_symbols = 0
-    total_weights = 0
-    sl_block_count = 0
-    covered_times_ibr = 0
-    stab_sq_total = 0
-    for row in block_counts(blocks, params):
-        for name in row.failed:
-            if name in checks:
-                checks[name] = False
-        total_symbols += row.ibr
-        total_weights += row.weights
-        stab_sq_total += row.stab_sq_sum
-        if admitted and row.is_rep:
-            sl_block_count += row.kappa_b
-            covered_times_ibr += row.kappa_b * row.sl_ibr
-        rows.append(row)
-
-    # Orbit-stabilizer: a center orbit of symbols with stabilizer order k has
-    # |Z| / k members, so summing k^2 / |Z| over all symbols gives the sum of
-    # k over the orbits.
-    total_kappa, rem = divmod(stab_sq_total, center_elements(params).order)
-    if admitted:
-        checks["sl_global_consistency"] = (
-            rem == 0 and covered_times_ibr == total_kappa
+    The cyclic garbage collector is paused while the report is built and
+    left as it was found, on return and on raise.  Its passes would only
+    re-traverse the instance's labels, hundreds of thousands of live tuples
+    on the large instances, and those cannot form cycles: they are tuples
+    of orbits, integers and partitions, and nothing built here refers back
+    to itself, so all of it is freed by reference counting when the report
+    is dropped (test_verify::test_run_instance_leaves_no_cyclic_garbage).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if unipotent_only:
+            refusal = REFUSAL_FILTERED
+            blocks = unipotent_blocks(params)
+        else:
+            refusal = sl_refusal(params)
+            blocks = enumerate_block_symbols(params)
+        admitted = refusal is None
+        checks = dict.fromkeys(
+            GL_CHECKS + (SL_BLOCK_CHECKS if admitted else ()), True
         )
 
-    totals = {
-        "blocks": len(rows),
-        "total_symbols": total_symbols,
-        "total_weight_symbols": total_weights,
-        "sl_block_count": sl_block_count if admitted else None,
-        "sl_total_ibr": total_kappa if admitted else None,
-        "sl_refused": refusal,
-    }
-    return InstanceReport(params, tuple(rows), checks, totals)
+        rows: list[BlockCounts] = []
+        total_symbols = 0
+        total_weights = 0
+        sl_block_count = 0
+        covered_times_ibr = 0
+        stab_sq_total = 0
+        for row in block_counts(blocks, params):
+            for name in row.failed:
+                if name in checks:
+                    checks[name] = False
+            total_symbols += row.ibr
+            total_weights += row.weights
+            stab_sq_total += row.stab_sq_sum
+            if admitted and row.is_rep:
+                sl_block_count += row.kappa_b
+                covered_times_ibr += row.kappa_b * row.sl_ibr
+            rows.append(row)
+
+        # Orbit-stabilizer: a center orbit of symbols with stabilizer order k
+        # has |Z| / k members, so summing k^2 / |Z| over all symbols gives the
+        # sum of k over the orbits.
+        total_kappa, rem = divmod(stab_sq_total, center_elements(params).order)
+        if admitted:
+            checks["sl_global_consistency"] = (
+                rem == 0 and covered_times_ibr == total_kappa
+            )
+
+        totals = {
+            "blocks": len(rows),
+            "total_symbols": total_symbols,
+            "total_weight_symbols": total_weights,
+            "sl_block_count": sl_block_count if admitted else None,
+            "sl_total_ibr": total_kappa if admitted else None,
+            "sl_refused": refusal,
+        }
+        return InstanceReport(params, tuple(rows), checks, totals)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def iter_grid(param_list, unipotent_only: bool = False):

@@ -75,6 +75,23 @@ def ell_cores_of_size(s: int, ell: int) -> tuple[Partition, ...]:
     return tuple(mu for mu in enumerate_partitions(s) if is_e_core(mu, ell))
 
 
+def _slot_assignments(slots: list[SlotIndex], idx: int, rem: int, ell: int):
+    """Yield the entry tuples of the core functions of weighted size rem on
+    slots[idx:], in slot order."""
+    if rem == 0:
+        yield ()
+        return
+    if idx == len(slots):
+        return
+    slot = slots[idx]
+    unit = ell ** slot[0]
+    yield from _slot_assignments(slots, idx + 1, rem, ell)
+    for s in range(1, rem // unit + 1):
+        for core in ell_cores_of_size(s, ell):
+            for rest in _slot_assignments(slots, idx + 1, rem - unit * s, ell):
+                yield ((slot, core),) + rest
+
+
 @lru_cache(maxsize=None)
 def enumerate_core_functions(
     h: int, w: int, ell: int
@@ -94,27 +111,9 @@ def enumerate_core_functions(
     while ell**d <= w:
         slots.extend(slots_at_level(h, d, ell))
         d += 1
-    results: list[CoreFunction] = []
-    acc: list[tuple[SlotIndex, Partition]] = []
-
-    def rec(idx: int, rem: int) -> None:
-        if rem == 0:
-            results.append(CoreFunction(tuple(acc)))
-            return
-        if idx == len(slots):
-            return
-        slot = slots[idx]
-        unit = ell ** slot[0]
-        rec(idx + 1, rem)
-        for s in range(1, rem // unit + 1):
-            for core in ell_cores_of_size(s, ell):
-                acc.append((slot, core))
-                rec(idx + 1, rem - unit * s)
-                acc.pop()
-
-    rec(0, w)
-    results.sort()
-    return tuple(results)
+    return tuple(
+        sorted(CoreFunction(entries) for entries in _slot_assignments(slots, 0, w, ell))
+    )
 
 
 def _poly_mul(a: list[int], b: list[int], cap: int) -> list[int]:

@@ -87,13 +87,14 @@ def test_center_act_is_a_group_action(z1, z2, sigma):
 
 
 def test_act_on_orbit_known():
+    eq = GL25_L3.eq
     orb_identity = orbit_of(IDENTITY, GL25_L3)
-    assert act_on_orbit(IDENTITY, orb_identity, GL25_L3) == orb_identity
-    moved = act_on_orbit(root_label(1, 4), orb_identity, GL25_L3)
+    assert act_on_orbit(IDENTITY, IDENTITY, eq) == orb_identity
+    moved = act_on_orbit(root_label(1, 4), IDENTITY, eq)
     assert moved.elements == (root_label(1, 4),)
     orb8 = orbit_of(root_label(1, 8), GL25_L3)
-    assert act_on_orbit(root_label(1, 2), orb8, GL25_L3) == orb8
-    assert act_on_orbit(root_label(1, 4), orb8, GL25_L3) == orbit_of(root_label(3, 8), GL25_L3)
+    assert act_on_orbit(root_label(1, 2), orb8.rep, eq) == orb8
+    assert act_on_orbit(root_label(1, 4), orb8.rep, eq) == orbit_of(root_label(3, 8), GL25_L3)
 
 
 def test_action_preserves_degree_and_is_rep_independent():
@@ -101,7 +102,7 @@ def test_action_preserves_degree_and_is_rep_independent():
         zs = center_elements(params).elements
         for orb in enumerate_ellprime_orbits(params):
             for z in zs:
-                image = act_on_orbit(z, orb, params)
+                image = act_on_orbit(z, orb.rep, params.eq)
                 assert image.size == orb.size
                 for elem in orb.elements:
                     assert orbit_of(center_act(z, elem), params) == image

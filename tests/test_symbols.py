@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from blockweights import symbols, verify
-from blockweights.arith import e_gamma, make_params
+from blockweights.arith import e_gamma, make_params, prime_power_decomposition
 from blockweights.errors import DomainError, InvariantViolationError, UnsupportedModeError
 from blockweights.partitions import count_with_core, enumerate_with_core
 from blockweights.semisimple import (
@@ -33,7 +33,6 @@ from blockweights.symbols import (
     enumerate_admissible_symbols,
     enumerate_block_symbols,
     from_weight_symbol,
-    is_unipotent_block,
     kappa,
     kappa_block,
     kappa_ell,
@@ -43,6 +42,7 @@ from blockweights.symbols import (
     sl_refusal,
     symbols_in_block,
     to_weight_symbol,
+    unipotent_blocks,
     weight_symbol,
     weight_symbols_in_block,
     z_act,
@@ -254,6 +254,11 @@ def test_weight_constructor_validates():
             from_weight_symbol(WeightSymbol((base + (CoreFunction(entries),),)), p45)
 
 
+def is_unipotent_block(block: BlockSymbol) -> bool:
+    """True when every orbit of the block is the identity orbit."""
+    return all(orb.rep == IDENTITY for orb, _, _ in block.triples)
+
+
 def test_block_enumeration_worked_instance():
     blocks = enumerate_block_symbols(P25)
     assert len(blocks) == 12
@@ -268,6 +273,23 @@ def test_block_enumeration_worked_instance():
     unipotent = [b for b in blocks if is_unipotent_block(b)]
     assert len(unipotent) == 1
     assert unipotent[0].triples[0][1:] == (2, ())
+
+
+def test_unipotent_blocks_are_the_filtered_enumeration():
+    """The directly built unipotent blocks are the identity-orbit blocks of
+    the full enumeration, in the same order, on every n <= 4 grid instance."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for ell in (2, 3, 5, 7):
+            if ell == prime_power_decomposition(q)[0]:
+                continue
+            for eps in (1, -1):
+                for n in (1, 2, 3, 4):
+                    params = make_params(n=n, q=q, eps=eps, ell=ell)
+                    filtered = tuple(
+                        b for b in enumerate_block_symbols(params)
+                        if is_unipotent_block(b)
+                    )
+                    assert unipotent_blocks(params) == filtered
 
 
 def test_block_enumeration_n1():

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -11,10 +12,12 @@ import time
 import pytest
 
 import blockweights
-from blockweights import cli
+from blockweights import cli, verify
 from blockweights.arith import make_params, prime_power_decomposition
 from blockweights.errors import ConfigurationError, InvariantViolationError
+from blockweights.partitions import enumerate_partitions
 from blockweights.symbols import block_to_jsonable
+from blockweights.weights import count_core_functions, enumerate_core_functions
 from blockweights.verify import (
     InstanceReport,
     iter_grid,
@@ -135,6 +138,67 @@ def test_unipotent_only_filter():
     assert (row.ibr, row.weights, row.kappa_b) == (2, 2, 1)
     assert report.totals["sl_refused"] == "unipotent-only run"
     assert report.totals["total_symbols"] == 2
+
+
+@pytest.fixture
+def gc_state():
+    """Put the cyclic collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_instance_leaves_the_collector_as_found(gc_state, enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    assert run_instance(WORKED).all_passed
+    assert gc.isenabled() is enabled
+
+
+def test_run_instance_restores_the_collector_on_raise(gc_state, monkeypatch):
+    seen = []
+
+    def broken(blocks, params):
+        seen.append(gc.isenabled())
+        raise InvariantViolationError("planted")
+
+    monkeypatch.setattr(verify, "block_counts", broken)
+    gc.enable()
+    with pytest.raises(InvariantViolationError, match="planted"):
+        run_instance(WORKED)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_run_instance_leaves_no_cyclic_garbage(gc_state):
+    """The collector is paused in run_instance because an instance builds
+    no reference cycle: once its report is dropped, reference counting has
+    freed everything it made.  The first run fills the (q, eps, ell)
+    caches, which are kept, not garbage."""
+    params = make_params(n=4, q=9, eps=-1, ell=7)
+    run_instance(params)
+    gc.disable()
+    gc.collect()
+    report = run_instance(params)
+    assert report.all_passed
+    del report
+    assert gc.collect() == 0
+
+
+def test_cached_enumerators_build_no_cycles(gc_state):
+    """The enumerators an instance runs cold, called past their caches."""
+    gc.disable()
+    gc.collect()
+    assert len(enumerate_partitions.__wrapped__(8)) == 22
+    functions = enumerate_core_functions.__wrapped__(2, 9, 3)
+    assert len(functions) == count_core_functions(2, 9, 3)
+    assert gc.collect() == 0
 
 
 def test_rejects_defining_characteristic():
