@@ -9,8 +9,10 @@ from functools import cached_property
 from .errors import ConfigurationError, DomainError
 
 # All enumerations are desk scale; configurations with q**n at or above this
-# bound are rejected up front instead of starting a hopeless run.
-DESK_LIMIT = 2**62
+# bound are rejected up front instead of starting a hopeless run.  As q >= 2,
+# every n >= DESK_EXPONENT is past it, and is refused before q**n is taken.
+DESK_EXPONENT = 62
+DESK_LIMIT = 2**DESK_EXPONENT
 
 
 def is_prime(m: int) -> bool:
@@ -117,7 +119,7 @@ class InstanceParams:
             )
         if self.n < 1:
             raise ConfigurationError(f"n must be at least 1, got {self.n}")
-        if self.q**self.n >= DESK_LIMIT:
+        if self.n >= DESK_EXPONENT or self.q**self.n >= DESK_LIMIT:
             raise ConfigurationError(
                 f"q**n = {self.q}**{self.n} exceeds the desk scale guard"
             )

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -61,7 +62,6 @@ from .partitions import (
     distinct_cores,
     e_core,
     e_quotient,
-    enumerate_partitions,
     enumerate_with_core,
     from_core_quotient,
     is_e_core,
@@ -248,64 +248,49 @@ def symbols_in_block(
     return tuple(out)
 
 
-def _orbit_choices(degs, by_deg, di: int, budget: int):
-    """Yield every list of (orbit, multiplicity) pairs over distinct orbits
-    of the degrees degs[di:], of total size budget, weighted by degree."""
-    if budget == 0:
-        yield []
-        return
-    if di == len(degs):
-        return
-    d = degs[di]
-    pool = by_deg[d]
-    yield from _orbit_choices(degs, by_deg, di + 1, budget)
-    for t in range(1, budget // d + 1):
-        for shape in enumerate_partitions(t):
-            if len(shape) > len(pool):
-                continue
-            orderings = sorted(set(itertools.permutations(shape)))
-            for orbs in itertools.combinations(pool, len(shape)):
-                for ordering in orderings:
-                    head = list(zip(orbs, ordering))
-                    for rest in _orbit_choices(degs, by_deg, di + 1, budget - d * t):
-                        yield head + rest
+def _blocks_after(orbits, candidates, table, last: int, budget: int, head):
+    """Yield, in sorted order, every block symbol that extends the triples
+    head by triples over orbits[i] with i > last, of total size budget
+    weighted by degree.  candidates[b] lists the indices of the orbits of
+    degree at most b."""
+    idx = candidates[budget]
+    for i in idx[bisect_right(idx, last) :]:
+        orb = orbits[i]
+        d = orb.size
+        for m in range(1, budget // d + 1):
+            rest = budget - d * m
+            if rest and candidates[rest][-1] <= i:
+                continue  # no orbit after orb fits in rest
+            # distinct_cores lists the cores descending
+            for lam in reversed(distinct_cores(m, table[d - 1])):
+                triples = head + ((orb, m, lam),)
+                if rest:
+                    yield from _blocks_after(
+                        orbits, candidates, table, i, rest, triples
+                    )
+                else:
+                    yield BlockSymbol(triples)
 
 
 def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
-    """All block symbols of the instance, sorted and duplicate free."""
+    """All block symbols of the instance, sorted and duplicate free.
+
+    Block symbols compare by their triples, and distinct orbits have
+    distinct representatives, so the sorted order is lexicographic in the
+    triples (orbit, m, core), slot by slot.  _blocks_after walks exactly
+    that order: the orbits ascending, each after the one taken last, then m
+    ascending, then the cores ascending, then the rest of the budget the
+    same way.  Each block is one path of that walk, so it comes once, and
+    the blocks need no sort.
+    """
     orbits = enumerate_ellprime_orbits(params)
-    by_deg: dict[int, list[FrobeniusOrbit]] = {}
-    for orb in orbits:
-        by_deg.setdefault(orb.size, []).append(orb)
-    table = params.e_gamma_table
-    results: list[BlockSymbol] = []
-    for chosen in _orbit_choices(sorted(by_deg), by_deg, 0, params.n):
-        base = sorted(chosen)
-        if len(base) == 1:
-            orb, m = base[0]
-            for lam in distinct_cores(m, table[orb.size - 1]):
-                results.append(BlockSymbol(((orb, m, lam),)))
-            continue
-        core_lists = [distinct_cores(m, table[orb.size - 1]) for orb, m in base]
-        for combo in itertools.product(*core_lists):
-            results.append(
-                BlockSymbol(
-                    tuple((orb, m, lam) for (orb, m), lam in zip(base, combo))
-                )
-            )
-    results.sort()
-    return tuple(results)
-
-
-def enumerate_admissible_symbols(
-    params: InstanceParams,
-) -> tuple[AdmissibleSymbol, ...]:
-    """All admissible symbols of the instance, grouped from their blocks."""
-    out: list[AdmissibleSymbol] = []
-    for block in enumerate_block_symbols(params):
-        out.extend(symbols_in_block(block, params))
-    out.sort()
-    return tuple(out)
+    candidates: list[list[int]] = [[] for _ in range(params.n + 1)]
+    for i, orb in enumerate(orbits):
+        for b in range(orb.size, params.n + 1):
+            candidates[b].append(i)
+    return tuple(
+        _blocks_after(orbits, candidates, params.e_gamma_table, -1, params.n, ())
+    )
 
 
 def unipotent_blocks(params: InstanceParams) -> tuple[BlockSymbol, ...]:
@@ -314,7 +299,7 @@ def unipotent_blocks(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     identity = _orbit_of(IDENTITY, params.eq)
     n = params.n
     cores = distinct_cores(n, params.e_gamma_table[0])
-    return tuple(sorted(BlockSymbol(((identity, n, lam),)) for lam in cores))
+    return tuple(BlockSymbol(((identity, n, lam),)) for lam in reversed(cores))
 
 
 # Suborbit constraints and the block stabilizer count.

@@ -173,14 +173,6 @@ def report_order(report: InstanceReport) -> tuple[int, int, int, int]:
     return (p.n, p.q, p.eps, p.ell)
 
 
-def run_grid(
-    param_list, unipotent_only: bool = False
-) -> tuple[InstanceReport, ...]:
-    """All grid reports in report_order; retains every row, so keep the grid
-    at desk scale or consume iter_grid instead."""
-    return tuple(sorted(iter_grid(param_list, unipotent_only), key=report_order))
-
-
 # The JSON layout of a report: keys in sorted order at indent 2, ints written
 # with %d, strings with the C string encoder json.dumps itself uses.
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +108,21 @@ def test_params_rejections():
         make_params(n=0, q=5, eps=1, ell=3)
     with pytest.raises(ConfigurationError):
         make_params(n=80, q=7, eps=1, ell=3)
+
+
+def test_desk_guard_refuses_a_huge_n_before_taking_the_power():
+    """q**n is not taken for n >= 62, where q >= 2 is past the guard
+    already: 2**(10**9) alone would take seconds.  The bound itself is
+    where it was."""
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError):
+        make_params(10**9, 2, 1, 3)
+    assert time.perf_counter() - start < 1.0
+    assert make_params(61, 2, 1, 3).n == 61
+    with pytest.raises(ConfigurationError):
+        make_params(62, 2, 1, 3)
+    with pytest.raises(ConfigurationError):
+        make_params(40, 3, 1, 2)
 
 
 def test_e_for_ell_two_is_one():

@@ -10,7 +10,7 @@ from blockweights.errors import (
     UnsupportedModeError,
 )
 from blockweights.semisimple import center_elements
-from blockweights.symbols import enumerate_admissible_symbols, kappa, z_act
+from blockweights.symbols import kappa, z_act
 from blockweights.verify import run_instance
 from blockweights.oracle import (
     TinyField,
@@ -26,6 +26,8 @@ from blockweights.oracle import (
     mat_mul,
     tiny_field,
 )
+
+from helpers import enumerate_admissible_symbols
 
 
 def test_field_axioms_and_frobenius():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -6,7 +7,7 @@ import pytest
 from blockweights import symbols, verify
 from blockweights.arith import e_gamma, make_params, prime_power_decomposition
 from blockweights.errors import DomainError, InvariantViolationError, UnsupportedModeError
-from blockweights.partitions import count_with_core, enumerate_with_core
+from blockweights.partitions import count_with_core, distinct_cores, enumerate_with_core
 from blockweights.semisimple import (
     IDENTITY,
     center_act,
@@ -30,7 +31,6 @@ from blockweights.symbols import (
     block_counts,
     block_of,
     block_symbol,
-    enumerate_admissible_symbols,
     enumerate_block_symbols,
     from_weight_symbol,
     kappa,
@@ -48,6 +48,8 @@ from blockweights.symbols import (
     z_act,
 )
 from blockweights.verify import run_instance
+
+from helpers import enumerate_admissible_symbols
 
 P25 = make_params(n=2, q=5, eps=1, ell=3)
 PU22 = make_params(n=2, q=2, eps=-1, ell=5)
@@ -294,6 +296,65 @@ def test_unipotent_blocks_are_the_filtered_enumeration():
 
 def test_block_enumeration_n1():
     assert len(enumerate_block_symbols(make_params(n=1, q=5, eps=1, ell=3))) == 4
+
+
+def _times(a, b, n):
+    """Product of two coefficient lists, truncated after x**n."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def block_count(params):
+    """The number of blocks, counted without enumerating them: the
+    coefficient of x**n in the product over degrees d of F_d(x)**N_d, where
+    N_d orbits have degree d and F_d = 1 + sum_m |distinct_cores(m, e_d)|
+    x**(d m).  A block picks, for each orbit, a multiplicity m >= 0 and, if
+    m > 0, one of the e_d-cores of partitions of m."""
+    n = params.n
+    degrees = collections.Counter(orb.size for orb in enumerate_ellprime_orbits(params))
+    total = [1] + [0] * n
+    for d, orbits in degrees.items():
+        factor = [0] * (n + 1)
+        factor[0] = 1
+        for m in range(1, n // d + 1):
+            factor[d * m] = len(distinct_cores(m, e_gamma(d, params)))
+        while orbits:
+            if orbits & 1:
+                total = _times(total, factor, n)
+            factor = _times(factor, factor, n)
+            orbits >>= 1
+    return total[n]
+
+
+def test_block_enumeration_is_complete_sorted_and_valid():
+    """The enumerated blocks are as many as the generating function counts,
+    strictly increasing, and (for n <= 3) each is a valid block symbol."""
+    instances = [
+        make_params(n=n, q=q, eps=eps, ell=ell)
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for ell in (2, 3, 5, 7)
+        if ell != prime_power_decomposition(q)[0]
+        for eps in (1, -1)
+        for n in (1, 2, 3, 4)
+    ] + [make_params(n=5, q=9, eps=-1, ell=7)]
+    for params in instances:
+        blocks = enumerate_block_symbols(params)
+        assert len(blocks) == block_count(params), params
+        assert all(a < b for a, b in zip(blocks, blocks[1:])), params
+        if params.n <= 3:
+            for b in blocks:
+                assert block_symbol(b.triples, params) == b
+
+
+def test_block_count_of_the_largest_instances():
+    """The counts of the two largest n = 6 instances (606,320 and 81,403
+    blocks, which run_instance reports), with no enumeration."""
+    assert block_count(make_params(n=6, q=9, eps=-1, ell=7)) == 606320
+    assert block_count(make_params(n=6, q=8, eps=1, ell=3)) == 81403
 
 
 def test_blocks_partition_the_symbols():

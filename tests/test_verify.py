@@ -24,9 +24,10 @@ from blockweights.verify import (
     report_order,
     reports_to_csv,
     reports_to_json,
-    run_grid,
     run_instance,
 )
+
+from helpers import run_grid
 
 WORKED = make_params(n=2, q=5, eps=1, ell=3)
 
