@@ -146,19 +146,13 @@ def make_params(n: int, q: int, eps: int, ell: int) -> InstanceParams:
     return InstanceParams(p=p, f=f, q=q, eps=eps, ell=ell, n=n)
 
 
-_E_GAMMA_MEMO: dict[tuple[int, int, int], int] = {}
-
-
 def e_gamma(d: int, params: InstanceParams) -> int:
     """Multiplicative order of (eps*q)**d modulo ell for a degree d orbit.
 
     Computed from the definition; the identity e_gamma(d) = e / gcd(e, d)
-    is asserted in tests rather than assumed here.
+    is asserted in tests rather than assumed here.  InstanceParams.e_gamma_table
+    keeps the values of an instance.
     """
     if d < 1:
         raise DomainError(f"degree must be at least 1, got {d}")
-    key = (params.eps * params.q, params.ell, d)
-    hit = _E_GAMMA_MEMO.get(key)
-    if hit is None:
-        hit = _E_GAMMA_MEMO[key] = mult_order(pow(key[0], d, key[1]), key[1])
-    return hit
+    return mult_order(pow(params.eq, d, params.ell), params.ell)

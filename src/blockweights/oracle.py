@@ -159,33 +159,6 @@ def mat_det(F: TinyField, a, n: int) -> int:
     raise UnsupportedModeError(f"determinant for n={n} not supported")
 
 
-def mat_inv(F: TinyField, a, n: int) -> tuple[int, ...]:
-    q, mul, neg, inv = F.q, F.mul, F.neg, F.inv
-    d = mat_det(F, a, n)
-    if d == 0:
-        raise InvariantViolationError("cannot invert a singular matrix")
-    di = inv[d]
-    if n == 1:
-        return (di,)
-    if n == 2:
-        adj = (a[3], neg[a[1]], neg[a[2]], a[0])
-        return tuple(mul[di * q + x] for x in adj)
-    if n == 3:
-        add = F.add
-        adj = []
-        for j in range(3):
-            for i in range(3):
-                rows = [r for r in range(3) if r != i]
-                cols = [c for c in range(3) if c != j]
-                minor = add[
-                    mul[a[rows[0] * 3 + cols[0]] * q + a[rows[1] * 3 + cols[1]]] * q
-                    + neg[mul[a[rows[0] * 3 + cols[1]] * q + a[rows[1] * 3 + cols[0]]]]
-                ]
-                adj.append(minor if (i + j) % 2 == 0 else neg[minor])
-        return tuple(mul[di * q + x] for x in adj)
-    raise UnsupportedModeError(f"inverse for n={n} not supported")
-
-
 def group_order(kind: str, n: int, q: int) -> int:
     if kind in ("GL", "SL"):
         order = 1
@@ -301,9 +274,19 @@ def generating_set(F: TinyField, n: int, elements) -> list:
     return gens
 
 
+def power_inverse(F: TinyField, n: int, g) -> tuple[int, ...]:
+    """The inverse of g as its last power before the identity, g**(k-1) for
+    g of order k."""
+    ident = mat_identity(n)
+    last, power = ident, g
+    while power != ident:
+        last, power = power, mat_mul(F, power, g, n)
+    return last
+
+
 def conjugacy_class_reps(F: TinyField, n: int, elements, gens) -> list:
     """One representative per conjugacy class, in enumeration order."""
-    gen_pairs = [(g, mat_inv(F, g, n)) for g in gens]
+    gen_pairs = [(g, power_inverse(F, n, g)) for g in gens]
     unseen = set(elements)
     reps = []
     for x in elements:

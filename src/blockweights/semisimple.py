@@ -3,6 +3,10 @@
 A p'-root of unity of order N is written as a reduced fraction k/N, and the
 Frobenius twist sigma -> sigma**(eps q) becomes multiplication of k by
 eps*q mod N.  All arithmetic is exact integer arithmetic on (num, den) pairs.
+
+The twist orbits of denominator N are the cosets of the subgroup generated by
+eps*q in the units mod N, so all of them have ord_N(eps*q) elements, and an
+orbit is kept as its least element and that size.
 """
 
 from __future__ import annotations
@@ -45,14 +49,12 @@ def root_label(num: int, den: int) -> RootLabel:
 
 
 class FrobeniusOrbit(NamedTuple):
-    """A twist orbit, stored from its canonical representative in twist order."""
+    """A twist orbit: a coset k <eps q> of the units mod a denominator N,
+    kept as (least element, size), where the size ord_N(eps q) is its degree.
+    suborbit(rep, 1, eq) walks its elements."""
 
     rep: RootLabel
-    elements: tuple[RootLabel, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
+    size: int
 
 
 def _twist_step(sigma: RootLabel, d: int, eq: int) -> RootLabel:
@@ -81,10 +83,8 @@ def suborbit(sigma: RootLabel, d: int, eq: int) -> tuple[RootLabel, ...]:
 
 @lru_cache(maxsize=None)
 def _orbit_of(sigma: RootLabel, eq: int) -> FrobeniusOrbit:
-    elems = suborbit(sigma, 1, eq)
-    start = elems.index(min(elems))
-    rotated = elems[start:] + elems[:start]
-    return FrobeniusOrbit(rotated[0], rotated)
+    walk = suborbit(sigma, 1, eq)
+    return FrobeniusOrbit(min(walk), len(walk))
 
 
 def orbit_of(sigma: RootLabel, params: InstanceParams) -> FrobeniusOrbit:
@@ -101,13 +101,13 @@ def center_act(z: RootLabel, sigma: RootLabel) -> RootLabel:
 
 
 @lru_cache(maxsize=None)
-def act_on_orbit(z: RootLabel, rep: RootLabel, eq: int) -> FrobeniusOrbit:
-    """The canonical z-translate of the orbit through the representative rep;
-    raises if the translation changes the orbit size."""
-    image = _orbit_of(center_act(z, rep), eq)
-    if len(image.elements) != len(_orbit_of(rep, eq).elements):
+def act_on_orbit(z: RootLabel, orbit: FrobeniusOrbit, eq: int) -> FrobeniusOrbit:
+    """The canonical z-translate of orbit; raises if the translation changes
+    the orbit size."""
+    image = _orbit_of(center_act(z, orbit.rep), eq)
+    if image.size != orbit.size:
         raise InvariantViolationError(
-            f"central translation changed orbit size: {rep} -> {image.rep}"
+            f"central translation changed orbit size: {orbit.rep} -> {image.rep}"
         )
     return image
 
@@ -132,7 +132,14 @@ def twist_modulus(d: int, params: InstanceParams) -> int:
 
 
 def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, ...]:
-    """All twist orbits of ell'-labels of degree at most n, sorted canonically."""
+    """All twist orbits of ell'-labels of degree at most n, sorted canonically.
+
+    Per denominator den, the orbits are the cosets num * <eq> of the units:
+    each unit num not yet met, ascending, is the least element of its coset,
+    which is then marked met.  The denominators and then the numerators
+    ascend, so the orbits come sorted by representative; den = 1 gives the
+    identity, num = 0.
+    """
     eq = params.eq
     dens: set[int] = set()
     for d in range(1, params.n + 1):
@@ -140,19 +147,18 @@ def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, .
         dens.update(_divisors(modulus))
     orbits: list[FrobeniusOrbit] = []
     for den in sorted(dens):
-        if den == 1:
-            orbits.append(_orbit_of(IDENTITY, eq))
-            continue
-        seen: set[int] = set()
-        for num in range(1, den):
-            if num in seen or math.gcd(num, den) != 1:
+        powers = [1 % den]
+        u = eq % den
+        while u != powers[0]:
+            powers.append(u)
+            u = u * eq % den
+        seen = bytearray(den)
+        for num in range(den):
+            if seen[num] or math.gcd(num, den) != 1:
                 continue
-            orb = _orbit_of(RootLabel(den, num), eq)
-            for el in orb.elements:
-                seen.add(el.num)
-            orbits.append(orb)
-    # distinct canonical reps, so plain tuple order sorts by rep
-    orbits.sort()
+            orbits.append(FrobeniusOrbit(RootLabel(den, num), len(powers)))
+            for u in powers:
+                seen[num * u % den] = 1
     return tuple(orbits)
 
 

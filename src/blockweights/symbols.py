@@ -182,7 +182,7 @@ def z_act(z: RootLabel, sym, params: InstanceParams):
         raise DomainError(f"cannot act on {type(sym).__name__}")
     (entries,) = sym
     eq = params.eq
-    acted = sorted((act_on_orbit(z, orb.rep, eq), *rest) for orb, *rest in entries)
+    acted = sorted((act_on_orbit(z, orb, eq), *rest) for orb, *rest in entries)
     return type(sym)(tuple(acted))
 
 
@@ -272,6 +272,18 @@ def _blocks_after(orbits, candidates, table, last: int, budget: int, head):
                     yield BlockSymbol(triples)
 
 
+def _sorted_blocks(orbits, params: InstanceParams) -> tuple[BlockSymbol, ...]:
+    """Every block symbol over the sorted orbits, sorted: _blocks_after from
+    the empty head over the whole budget n."""
+    candidates: list[list[int]] = [[] for _ in range(params.n + 1)]
+    for i, orb in enumerate(orbits):
+        for b in range(orb.size, params.n + 1):
+            candidates[b].append(i)
+    return tuple(
+        _blocks_after(orbits, candidates, params.e_gamma_table, -1, params.n, ())
+    )
+
+
 def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     """All block symbols of the instance, sorted and duplicate free.
 
@@ -283,23 +295,13 @@ def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     same way.  Each block is one path of that walk, so it comes once, and
     the blocks need no sort.
     """
-    orbits = enumerate_ellprime_orbits(params)
-    candidates: list[list[int]] = [[] for _ in range(params.n + 1)]
-    for i, orb in enumerate(orbits):
-        for b in range(orb.size, params.n + 1):
-            candidates[b].append(i)
-    return tuple(
-        _blocks_after(orbits, candidates, params.e_gamma_table, -1, params.n, ())
-    )
+    return _sorted_blocks(enumerate_ellprime_orbits(params), params)
 
 
 def unipotent_blocks(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     """The blocks of the identity orbit alone, sorted: one per e-core of a
     partition of n, with e = e_gamma(1)."""
-    identity = _orbit_of(IDENTITY, params.eq)
-    n = params.n
-    cores = distinct_cores(n, params.e_gamma_table[0])
-    return tuple(BlockSymbol(((identity, n, lam),)) for lam in reversed(cores))
+    return _sorted_blocks((FrobeniusOrbit(IDENTITY, 1),), params)
 
 
 # Suborbit constraints and the block stabilizer count.

@@ -22,8 +22,8 @@ from blockweights.oracle import (
     group_order,
     mat_det,
     mat_identity,
-    mat_inv,
     mat_mul,
+    power_inverse,
     tiny_field,
 )
 
@@ -58,8 +58,22 @@ def test_matrix_helpers():
     assert mat_mul(F, a, eye, 2) == a
     prod_det = mat_det(F, mat_mul(F, a, b, 2), 2)
     assert prod_det == F.mul[mat_det(F, a, 2) * 5 + mat_det(F, b, 2)]
-    inv = mat_inv(F, a, 2)
-    assert mat_mul(F, a, inv, 2) == eye
+    # The inverse of conjugacy_class_reps is the last power before the
+    # identity: checked on every element of GL_2(3) and GU_2(2), and on a
+    # fixed sample of GL_3(q).
+    for kind, n, q in (("GL", 2, 3), ("GU", 2, 2)):
+        F, elements = enumerate_matrix_group(kind, n, q)
+        for g in elements:
+            assert mat_mul(F, g, power_inverse(F, n, g), n) == mat_identity(n)
+    for q in (2, 3, 4, 5):
+        F = tiny_field(q)
+        rng = random.Random(f"inverse {q}")
+        checked = 0
+        while checked < 30:
+            g = tuple(rng.randrange(q) for _ in range(9))
+            if mat_det(F, g, 3):
+                assert mat_mul(F, g, power_inverse(F, 3, g), 3) == mat_identity(3)
+                checked += 1
 
 
 def test_determinant_is_multiplicative():

@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 
 from blockweights import semisimple
 from blockweights.arith import make_params, mult_order
-from blockweights.errors import DomainError
+from blockweights.errors import DomainError, InvariantViolationError
 from blockweights.semisimple import (
     IDENTITY,
+    FrobeniusOrbit,
     RootLabel,
     act_on_orbit,
     center_act,
@@ -48,14 +49,23 @@ def test_canonical_order_is_den_then_num():
 
 
 def test_orbit_known():
-    assert orbit_of(IDENTITY, GL25_L3).elements == (IDENTITY,)
+    assert orbit_of(IDENTITY, GL25_L3) == FrobeniusOrbit(IDENTITY, 1)
+    assert suborbit(IDENTITY, 1, GL25_L3.eq) == (IDENTITY,)
     # In twist order from the least element: 1/3 -> 5/3 = 2/3 at q = 5,
     # 1/9 -> -2/9 = 7/9 -> -14/9 = 4/9 at eps q = -2.
-    orb = orbit_of(root_label(2, 3), make_params(n=2, q=5, eps=1, ell=2))
-    assert orb.elements == (root_label(1, 3), root_label(2, 3))
-    orb9 = orbit_of(root_label(4, 9), make_params(n=3, q=2, eps=-1, ell=5))
-    assert orb9.elements == (root_label(1, 9), root_label(7, 9), root_label(4, 9))
-    assert orb9.size == 3
+    plus = make_params(n=2, q=5, eps=1, ell=2)
+    orb = orbit_of(root_label(2, 3), plus)
+    assert orb == FrobeniusOrbit(root_label(1, 3), 2)
+    assert suborbit(orb.rep, 1, plus.eq) == (root_label(1, 3), root_label(2, 3))
+    minus2 = make_params(n=3, q=2, eps=-1, ell=5)
+    orb9 = orbit_of(root_label(4, 9), minus2)
+    assert orb9 == FrobeniusOrbit(root_label(1, 9), 3)
+    assert suborbit(orb9.rep, 1, minus2.eq) == (
+        root_label(1, 9),
+        root_label(7, 9),
+        root_label(4, 9),
+    )
+    assert FrobeniusOrbit._fields == ("rep", "size")
 
 
 @given(reduced_fraction(max_den=40), st.sampled_from([(2, -1, 5), (3, -1, 2), (5, 1, 3), (7, 1, 2)]))
@@ -65,10 +75,11 @@ def test_orbit_rep_is_minimum_and_stable(sigma, qel):
     if math.gcd(sigma.den, q) != 1:
         return
     orb = orbit_of(sigma, params)
-    assert orb.rep == min(orb.elements)
-    assert orb.elements[0] == orb.rep
-    assert mult_order(params.eq, sigma.den) == orb.size
-    for elem in orb.elements:
+    walk = suborbit(orb.rep, 1, params.eq)
+    assert sigma in walk
+    assert orb.rep == min(walk)
+    assert mult_order(params.eq, sigma.den) == orb.size == len(walk)
+    for elem in walk:
         assert orbit_of(elem, params) == orb
 
 
@@ -89,12 +100,21 @@ def test_center_act_is_a_group_action(z1, z2, sigma):
 def test_act_on_orbit_known():
     eq = GL25_L3.eq
     orb_identity = orbit_of(IDENTITY, GL25_L3)
-    assert act_on_orbit(IDENTITY, IDENTITY, eq) == orb_identity
-    moved = act_on_orbit(root_label(1, 4), IDENTITY, eq)
-    assert moved.elements == (root_label(1, 4),)
+    assert act_on_orbit(IDENTITY, orb_identity, eq) == orb_identity
+    moved = act_on_orbit(root_label(1, 4), orb_identity, eq)
+    assert moved == FrobeniusOrbit(root_label(1, 4), 1)
     orb8 = orbit_of(root_label(1, 8), GL25_L3)
-    assert act_on_orbit(root_label(1, 2), orb8.rep, eq) == orb8
-    assert act_on_orbit(root_label(1, 4), orb8.rep, eq) == orbit_of(root_label(3, 8), GL25_L3)
+    assert act_on_orbit(root_label(1, 2), orb8, eq) == orb8
+    assert act_on_orbit(root_label(1, 4), orb8, eq) == orbit_of(root_label(3, 8), GL25_L3)
+
+
+def test_act_on_orbit_refuses_a_changed_size():
+    """act_on_orbit compares the size of the image with the size the orbit
+    carries, so an orbit planted with a wrong size raises."""
+    orb8 = orbit_of(root_label(1, 8), GL25_L3)
+    planted = FrobeniusOrbit(orb8.rep, orb8.size + 1)
+    with pytest.raises(InvariantViolationError, match="changed orbit size"):
+        act_on_orbit(root_label(1, 2), planted, GL25_L3.eq)
 
 
 def test_action_preserves_degree_and_is_rep_independent():
@@ -102,9 +122,9 @@ def test_action_preserves_degree_and_is_rep_independent():
         zs = center_elements(params).elements
         for orb in enumerate_ellprime_orbits(params):
             for z in zs:
-                image = act_on_orbit(z, orb.rep, params.eq)
+                image = act_on_orbit(z, orb, params.eq)
                 assert image.size == orb.size
-                for elem in orb.elements:
+                for elem in suborbit(orb.rep, 1, params.eq):
                     assert orbit_of(center_act(z, elem), params) == image
 
 
@@ -143,7 +163,7 @@ def test_suborbit_size_formula():
                 sub = suborbit(orb.rep, d, params.eq)
                 assert len(sub) == orb.size // math.gcd(d, orb.size)
                 assert len(set(sub)) == len(sub)
-                assert set(sub) <= set(orb.elements)
+                assert set(sub) <= set(suborbit(orb.rep, 1, params.eq))
 
 
 def test_twist_modulus_known():
@@ -182,7 +202,7 @@ def test_orbit_enumeration_matches_direct_scan():
     ]:
         params = make_params(n=n, q=q, eps=eps, ell=ell)
         orbs = enumerate_ellprime_orbits(params)
-        found = [elem for orb in orbs for elem in orb.elements]
+        found = [elem for orb in orbs for elem in suborbit(orb.rep, 1, params.eq)]
         assert len(found) == len(set(found))
         bound = max(twist_modulus(d, params) for d in range(1, n + 1))
         expected = set()
@@ -195,6 +215,24 @@ def test_orbit_enumeration_matches_direct_scan():
                 if math.gcd(num, den) == 1 or den == 1:
                     expected.add(root_label(num, den))
         assert set(found) == expected
+
+
+def test_enumerated_orbits_are_twist_walks():
+    """Each enumerated orbit (rep, size) is the twist walk from rep: rep is
+    its least element, and size is ord_den(eq), the length of the walk; on
+    every n <= 4 grid instance."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for ell in (2, 3, 5, 7):
+            if q % ell == 0:
+                continue
+            for eps in (1, -1):
+                for n in (1, 2, 3, 4):
+                    params = make_params(n=n, q=q, eps=eps, ell=ell)
+                    for orb in enumerate_ellprime_orbits(params):
+                        walk = suborbit(orb.rep, 1, params.eq)
+                        assert orb.size == mult_order(params.eq, orb.rep.den)
+                        assert orb.size == len(walk)
+                        assert orb.rep == min(walk)
 
 
 def test_orbit_enumeration_per_degree_counts():
