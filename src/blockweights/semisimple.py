@@ -57,27 +57,28 @@ class FrobeniusOrbit(NamedTuple):
     size: int
 
 
-def _twist_step(sigma: RootLabel, d: int, eq: int) -> RootLabel:
-    if sigma.den == 1:
-        return sigma
-    u = pow(eq, d, sigma.den)
-    return RootLabel(sigma.den, sigma.num * u % sigma.den)
-
-
 def suborbit(sigma: RootLabel, d: int, eq: int) -> tuple[RootLabel, ...]:
     """Iterates of the d-fold twist sigma -> sigma**(eq**d) starting at sigma.
 
     Has deg(sigma) / gcd(d, deg(sigma)) elements; d = 1 walks the orbit.
+    The numerators are multiplied by u = eq**d mod den, a unit, so the walk
+    returns within den steps; one that does not raises.
     """
     if d < 1:
         raise DomainError(f"step must be at least 1, got {d}")
-    if math.gcd(eq, sigma.den) != 1:
-        raise DomainError(f"denominator {sigma.den} is not coprime to {eq}")
+    den = sigma.den
+    if math.gcd(eq, den) != 1:
+        raise DomainError(f"denominator {den} is not coprime to {eq}")
+    u = pow(eq, d, den)
     elems = [sigma]
-    x = _twist_step(sigma, d, eq)
-    while x != sigma:
-        elems.append(x)
-        x = _twist_step(x, d, eq)
+    num = sigma.num * u % den
+    while num != sigma.num:
+        if len(elems) == den:
+            raise InvariantViolationError(
+                f"the twist walk from {sigma} did not return in {den} steps"
+            )
+        elems.append(RootLabel(den, num))
+        num = num * u % den
     return tuple(elems)
 
 
@@ -131,14 +132,25 @@ def twist_modulus(d: int, params: InstanceParams) -> int:
     return abs(params.eq**d - 1)
 
 
-def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, ...]:
-    """All twist orbits of ell'-labels of degree at most n, sorted canonically.
+class OrbitTable(NamedTuple):
+    """The twist orbits of an instance, sorted, with the orbit that owns each
+    label: owners[den][num] is the orbit holding num/den, None when num is
+    not a unit mod den."""
+
+    orbits: tuple[FrobeniusOrbit, ...]
+    owners: dict[int, list[FrobeniusOrbit | None]]
+
+
+@lru_cache(maxsize=None)
+def orbit_table(params: InstanceParams) -> OrbitTable:
+    """All twist orbits of ell'-labels of degree at most n, sorted
+    canonically, with the owner of each of their labels.
 
     Per denominator den, the orbits are the cosets num * <eq> of the units:
-    each unit num not yet met, ascending, is the least element of its coset,
-    which is then marked met.  The denominators and then the numerators
-    ascend, so the orbits come sorted by representative; den = 1 gives the
-    identity, num = 0.
+    each unit num not yet owned, ascending, is the least element of its
+    coset, which then owns every member.  The denominators and then the
+    numerators ascend, so the orbits come sorted by representative; den = 1
+    gives the identity, num = 0.
     """
     eq = params.eq
     dens: set[int] = set()
@@ -146,20 +158,38 @@ def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, .
         modulus = ell_prime_part(twist_modulus(d, params), params.ell)
         dens.update(_divisors(modulus))
     orbits: list[FrobeniusOrbit] = []
+    owners: dict[int, list[FrobeniusOrbit | None]] = {}
     for den in sorted(dens):
         powers = [1 % den]
         u = eq % den
         while u != powers[0]:
             powers.append(u)
             u = u * eq % den
-        seen = bytearray(den)
+        owner: list[FrobeniusOrbit | None] = [None] * den
         for num in range(den):
-            if seen[num] or math.gcd(num, den) != 1:
+            if owner[num] is not None or math.gcd(num, den) != 1:
                 continue
-            orbits.append(FrobeniusOrbit(RootLabel(den, num), len(powers)))
+            orbit = FrobeniusOrbit(RootLabel(den, num), len(powers))
+            orbits.append(orbit)
             for u in powers:
-                seen[num * u % den] = 1
-    return tuple(orbits)
+                owner[num * u % den] = orbit
+        owners[den] = owner
+    return OrbitTable(tuple(orbits), owners)
+
+
+def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, ...]:
+    """All twist orbits of ell'-labels of degree at most n, sorted canonically
+    (orbit_table)."""
+    return orbit_table(params).orbits
+
+
+def translate(z: RootLabel, orbit: FrobeniusOrbit, owners) -> FrobeniusOrbit | None:
+    """The z-translate of orbit read from owners, an OrbitTable.owners; None
+    when the table does not list it.  Unlike act_on_orbit, it walks no orbit
+    and does not compare sizes."""
+    x = center_act(z, orbit.rep)
+    row = owners.get(x.den)
+    return None if row is None else row[x.num]
 
 
 @dataclass(frozen=True)
@@ -186,3 +216,4 @@ def clear_orbit_caches() -> None:
     """Drop per-regime orbit caches; used between grid regimes to bound memory."""
     _orbit_of.cache_clear()
     act_on_orbit.cache_clear()
+    orbit_table.cache_clear()

@@ -35,12 +35,14 @@ where the center orbits meet the block, and the sums are the per-SL-block
 counts; over the blocks of an instance G is the center, and the symbol sum
 is the number of Brauer characters of SL_n(eps q).
 
-The kernel acts on blocks once per center orbit.  The first block of an
-orbit among those passed is acted on by every nontrivial central element;
-the elements that fix it form C1, and the other members are kept with that
-C1 until those blocks come.  As the center is abelian, C1 is the same for
-every block of the orbit, so the later ones take it without acting, and
-only the first is the orbit's representative.
+The center acts on a block only where it fixes it.  The center is cyclic,
+so C1 != 1 exactly when the element 1/r of some prime order r fixes the
+block, and such a block is a union of <1/r>-cycles of orbits with one
+(m, core) along each cycle.  _block_stabilizers builds those blocks once per
+orbit tuple and finds their C1 by z_act; every other block has C1 = 1, so a
+block's record does not depend on the other blocks passed.  Over the blocks
+of an instance the SL totals are counted by orbit-stabilizer as well: a
+block orbit has |Z| / |C1| members.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import InstanceParams, e_gamma, ell_part
+from .arith import InstanceParams, e_gamma, ell_part, is_prime
 from .errors import DomainError, InvariantViolationError, UnsupportedModeError
 from .partitions import (
     Partition,
@@ -72,12 +74,15 @@ from .semisimple import (
     FrobeniusOrbit,
     IDENTITY,
     RootLabel,
+    _divisors,
     _orbit_of,
     act_on_orbit,
     center_act,
     center_elements,
     enumerate_ellprime_orbits,
+    orbit_table,
     suborbit,
+    translate,
 )
 from .weights import (
     CoreFunction,
@@ -298,10 +303,14 @@ def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     return _sorted_blocks(enumerate_ellprime_orbits(params), params)
 
 
+# The orbit tuple of the unipotent blocks.
+IDENTITY_ORBITS = (FrobeniusOrbit(IDENTITY, 1),)
+
+
 def unipotent_blocks(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     """The blocks of the identity orbit alone, sorted: one per e-core of a
     partition of n, with e = e_gamma(1)."""
-    return _sorted_blocks((FrobeniusOrbit(IDENTITY, 1),), params)
+    return _sorted_blocks(IDENTITY_ORBITS, params)
 
 
 # Suborbit constraints and the block stabilizer count.
@@ -336,8 +345,127 @@ def _block_steps(block: BlockSymbol, params: InstanceParams):
 
 def kappa_block(block: BlockSymbol, params: InstanceParams) -> int:
     """Number of SL-blocks covered by this block: |C1 intersect C2|."""
-    (counts,) = block_counts((block,), params)
+    (counts,) = block_counts((block,), params, _block_orbits(block))
     return counts.kappa_b
+
+
+def _block_orbits(block: BlockSymbol) -> tuple[FrobeniusOrbit, ...]:
+    return tuple(orb for orb, _, _ in block.triples)
+
+
+# The blocks whose stabilizer C1 in the center is nontrivial.  The center Z
+# is cyclic, so C1 != 1 exactly when C1 holds the element 1/r of prime order
+# r, for some prime r dividing |Z|.  A block fixed by z = 1/r is a union of
+# <z>-cycles of orbits with one (m, lam) on all the orbits of a cycle.
+
+
+def _fixed_blocks_after(cycles, candidates, table, last: int, budget: int, head):
+    """Yield every block that extends the triples head by one slot (orbit,
+    m, lam) on each orbit of cycles[i], with the same (m, lam) along the
+    cycle, over cycles with i > last, of total size budget weighted by
+    degree.  candidates[b] lists the indices of the cycles whose length
+    times degree is at most b."""
+    idx = candidates[budget]
+    for i in idx[bisect_right(idx, last) :]:
+        cycle = cycles[i]
+        d = cycle[0].size
+        weight = d * len(cycle)
+        for m in range(1, budget // weight + 1):
+            rest = budget - weight * m
+            for lam in distinct_cores(m, table[d - 1]):
+                triples = head + tuple((orb, m, lam) for orb in cycle)
+                if rest:
+                    yield from _fixed_blocks_after(
+                        cycles, candidates, table, i, rest, triples
+                    )
+                else:
+                    yield BlockSymbol(tuple(sorted(triples)))
+
+
+@lru_cache(maxsize=None)
+def _block_stabilizers(
+    params: InstanceParams, orbits: tuple[FrobeniusOrbit, ...] | None
+) -> dict[BlockSymbol, tuple[RootLabel, ...]]:
+    """Map every block over the sorted orbit tuple orbits (None: every orbit
+    of the instance) whose stabilizer C1 in the center is nontrivial to C1
+    without the identity.  Absent blocks have C1 = 1.
+
+    With g = 1/|Z| it walks the <g>-cycle through each orbit, reading each
+    translate from the orbit table of the instance or, for an orbit tuple
+    passed in, from act_on_orbit; it raises if a translate has another size
+    than the orbit, or if the cycle does not close within |Z| steps.  As
+    every central element is a power of g, every z keeps the size of every
+    orbit.  1/r = g**(|Z| / r) moves a cycle of length L by |Z| / r mod L
+    places, which splits it into its <1/r>-cycles; only those lying inside
+    the tuple are kept.  The blocks over them fixed by 1/r come from
+    _fixed_blocks_after, and only on those z_act finds C1.
+    """
+    center = center_elements(params)
+    order = center.order
+    if order == 1:
+        return {}
+    eq = params.eq
+    if orbits is None:
+        orbits, owners = orbit_table(params)
+    else:
+        owners = {}
+    members = set(orbits)
+    n = params.n
+    primes = [r for r in _divisors(order) if is_prime(r)]
+    cycles: dict[int, list] = {r: [] for r in primes}
+    g = RootLabel(order, 1)
+    seen: set = set()
+    for orb in orbits:
+        if orb in seen:
+            continue
+        walk = [orb]
+        while True:
+            image = translate(g, walk[-1], owners)
+            if image is None:
+                image = act_on_orbit(g, walk[-1], eq)
+            if image.size != orb.size:
+                raise InvariantViolationError(
+                    f"central translation changed orbit size: {walk[-1].rep}"
+                    f" -> {image.rep}"
+                )
+            if image == orb:
+                break
+            walk.append(image)
+            if len(walk) > order:
+                raise InvariantViolationError(
+                    f"the center orbit of {orb.rep} has more than {order} members"
+                )
+        seen.update(walk)
+        length = len(walk)
+        for r in primes:
+            if order // r % length == 0:
+                # 1/r fixes every orbit of the cycle.
+                cycles[r].extend((x,) for x in walk if x in members)
+            elif orb.size * r <= n:
+                span = length // r
+                for i in range(span):
+                    cycle = tuple(walk[i::span])
+                    if all(x in members for x in cycle):
+                        cycles[r].append(cycle)
+    table = params.e_gamma_table
+    zs_rest = center.elements[1:]
+    stabilizers: dict[BlockSymbol, tuple[RootLabel, ...]] = {}
+    for r, found in cycles.items():
+        candidates: list[list[int]] = [[] for _ in range(n + 1)]
+        for i, cycle in enumerate(found):
+            for b in range(cycle[0].size * len(cycle), n + 1):
+                candidates[b].append(i)
+        z = RootLabel(r, 1)
+        for block in _fixed_blocks_after(found, candidates, table, -1, n, ()):
+            if block in stabilizers:
+                continue
+            c1_rest = tuple(y for y in zs_rest if z_act(y, block, params) == block)
+            if z not in c1_rest:
+                raise InvariantViolationError(
+                    f"z_act does not fix block {block_to_jsonable(block)} under {z}"
+                )
+            stabilizers[block] = c1_rest
+    return stabilizers
 
 
 # Weight symbols per block.
@@ -454,10 +582,11 @@ class BlockCounts(NamedTuple):
     """What block_counts finds on one block; the rows of a verify report.
 
     ibr and weights are the closed-form GL counts of the block.  kappa_b is
-    the number of SL-blocks it covers; is_rep says it is the first block of
-    its center orbit among the blocks passed to block_counts, which on the
-    sorted, center-stable block list of run_instance is the least of the
-    orbit, and on a single block is always True.  sl_ibr and sl_weights
+    the number of SL-blocks it covers, and c1_order the order of its
+    stabilizer C1 in the center Z.  The center orbit of the block has
+    |Z| / c1_order members, which share kappa_b and the SL counts, so
+    kappa_b c1_order summed over a center-stable set of blocks and divided
+    by |Z| adds kappa_b once per center orbit of blocks.  sl_ibr and sl_weights
     count Brauer characters and weights per covered SL-block: stabilizer
     order over kappa_b, summed over the center orbits that meet the block.
     Each meets it in one C1-orbit, so by orbit-stabilizer in C1 they are
@@ -474,7 +603,7 @@ class BlockCounts(NamedTuple):
     ibr: int
     weights: int
     kappa_b: int
-    is_rep: bool
+    c1_order: int
     sl_ibr: int
     sl_weights: int
     stab_sq_sum: int
@@ -517,9 +646,17 @@ def _slot_counts(m: int, e: int, lam: Partition, ell: int):
     )
 
 
-def block_counts(blocks, params: InstanceParams):
+def block_counts(blocks, params: InstanceParams, orbits=None):
     """Yield one BlockCounts per block, in order: count, restrict to SL and
     check each block.
+
+    orbits is the sorted orbit tuple the blocks are built over: None, the
+    default, for every orbit of the instance (enumerate_block_symbols),
+    IDENTITY_ORBITS for unipotent_blocks, or the orbits of one block
+    (kappa_block, sl_block_report).  _block_stabilizers maps the blocks over
+    it with C1 != 1 to their C1, once per tuple; a block is looked up there
+    and nowhere else, so its record does not depend on the blocks passed
+    with it.  A block over orbits outside the tuple would read C1 = 1.
 
     The SL quantities are computed whether or not sl_refusal admits the
     instance; callers decide whether they apply.  On an admitted instance
@@ -545,9 +682,9 @@ def block_counts(blocks, params: InstanceParams):
       the block has as many weight symbols as symbols (the two checks
       above), to is onto them and to(from(w)) == w for each.
 
-    The center.  A central element outside the block stabilizer C1 moves
-    every label of the block into another block, so the stabilizer of a
-    label lies in C1.  When C1 = 1, every label stabilizer is 1 and
+    The center.  C1 comes from _block_stabilizers.  A central element
+    outside C1 moves every label of the block into another block, so the
+    stabilizer of a label lies in C1.  When C1 = 1, every label stabilizer is 1 and
     kappa_b = 1: the squared stabilizer sums are the list lengths,
     kappa_divisibility and bijection_kappa_preserved hold, and no label is
     built.  A block with C1 != 1 scans its labels under C1:
@@ -557,24 +694,19 @@ def block_counts(blocks, params: InstanceParams):
     * bijection_kappa_preserved, equal stabilizers in C1: equal in the
       whole center, since a z fixing a label fixes its block
       (test_symbols::test_z_act_commutes_with_block_of).
-    * bijection_equivariant, to(z s) == z to(s) for every z at every s of
-      the first block of each block center orbit among the blocks passed:
-      every center orbit of symbols that meets a block passed meets that
-      first block, so the check holds at one s of it, and at every s' = y s
-      too, as z_act is a group action
-      (test_symbols::test_z_act_is_a_group_action_on_symbols), so
-      to(z s') = to(zy s) = zy to(s) = z to(s').
+    * bijection_equivariant, to(z s) == z to(s) for every z at every
+      symbol s of the block.
 
     Equivariance needs no labels where C1 = 1.  z s translates the orbit of
     each entry of s and keeps its partition, so by the product lemma to(z s)
     and z to(s) have the same entries, except that one reads e at the size
     of z orb and the other at that of orb; both sort their entries by the
-    distinct orbits.  act_on_orbit raises if z changes the size of an
-    orbit, and the scan that finds C1 acts with every z on every orbit of
-    the first block of each block center orbit, which is every orbit of its
-    other blocks moved by some y; so to(z s) == z to(s) on them all
-    (test_symbols::test_to_weight_symbol_commutes_with_z_act checks it at
-    every z and every symbol of every block).
+    distinct orbits.  _block_stabilizers walks the center cycle of every
+    orbit of the tuple under the generator 1/|Z| and raises if an orbit on
+    it has another size.  Every z is a power of the generator, so no z
+    changes the size of an orbit of a block passed, and to(z s) == z to(s)
+    on them all (test_symbols::test_to_weight_symbol_commutes_with_z_act
+    checks it at every z and every symbol of every block).
 
     The per-SL-block sums are counted by orbit-stabilizer in C1 and divided
     by |C1| kappa_b; a remainder fails sl_blockwise_awc.
@@ -583,9 +715,7 @@ def block_counts(blocks, params: InstanceParams):
     ell = params.ell
     table = params.e_gamma_table
     zs_rest = center_elements(params).elements[1:]
-    # The center orbit members of blocks already met that are still to
-    # come, each mapped to the C1 list of its orbit.
-    pending: dict = {}
+    stabilizers = _block_stabilizers(params, orbits)
     for block in blocks:
         failed: set[str] = set()
         nsym = nwt = listed_sym = listed_wt = 1
@@ -604,20 +734,8 @@ def block_counts(blocks, params: InstanceParams):
             failed.add("counts_match")
         # kappa_b = |C1 intersect C2|: C1 is the setwise stabilizer of the
         # block in the center, C2 the elements that fix every constraint
-        # suborbit of it.  The center is abelian, so C1(z B) = C1(B): the
-        # first block of each center orbit acts with every z once and
-        # leaves C1 under the other members; they read it there.
-        is_rep = block not in pending
-        if is_rep:
-            c1_rest = []
-            for z in zs_rest:
-                acted = z_act(z, block, params)
-                if acted == block:
-                    c1_rest.append(z)
-                else:
-                    pending[acted] = c1_rest
-        else:
-            c1_rest = pending.pop(block)
+        # suborbit of it.
+        c1_rest = stabilizers.get(block, ()) if stabilizers else ()
 
         kappa_b = 1
         # C1 = 1: every stabilizer is 1, each squared stabilizer sum is the
@@ -649,7 +767,7 @@ def block_counts(blocks, params: InstanceParams):
                 # at its slot.
                 if wt_stab.get(image, stab) != stab:
                     failed.add("bijection_kappa_preserved")
-                if is_rep and any(
+                if any(
                     z_act(z, image, params)
                     != to_weight_symbol(z_act(z, s, params), params)
                     for z in zs_rest
@@ -659,13 +777,14 @@ def block_counts(blocks, params: InstanceParams):
         # Orbit-stabilizer in C1: the squared stabilizer orders over |C1|
         # add the stabilizer order of each C1-orbit once, and kappa_b
         # divides each of those (kappa_divisibility).
-        per_sl_block = (1 + len(c1_rest)) * kappa_b
+        c1_order = 1 + len(c1_rest)
+        per_sl_block = c1_order * kappa_b
         sl_ibr, ibr_rem = divmod(stab_sq_sum, per_sl_block)
         sl_weights, wt_rem = divmod(wt_sq_sum, per_sl_block)
         if ibr_rem or wt_rem or sl_ibr != sl_weights:
             failed.add("sl_blockwise_awc")
         yield BlockCounts(
-            block, nsym, nwt, kappa_b, is_rep, sl_ibr, sl_weights, stab_sq_sum,
+            block, nsym, nwt, kappa_b, c1_order, sl_ibr, sl_weights, stab_sq_sum,
             tuple(sorted(failed)),
         )
 
@@ -677,7 +796,7 @@ def sl_block_report(block: BlockSymbol, params: InstanceParams) -> BlockCounts:
     refusal = sl_refusal(params)
     if refusal is not None:
         raise UnsupportedModeError(refusal)
-    (counts,) = block_counts((block,), params)
+    (counts,) = block_counts((block,), params, _block_orbits(block))
     if "kappa_divisibility" in counts.failed:
         raise InvariantViolationError(
             f"a stabilizer order in block {block_to_jsonable(block)} is not divisible"
@@ -700,3 +819,4 @@ def clear_symbol_caches() -> None:
     """Drop per-regime caches; used between grid regimes to bound memory."""
     _z_fixes_cycle.cache_clear()
     _slot_counts.cache_clear()
+    _block_stabilizers.cache_clear()

@@ -12,22 +12,26 @@ dictionary of named equality checks:
   each block, preserves stabilizer orders, and commutes with the center
   (symbols.block_counts proves that its checks show this).  The bijection
   is checked once per block slot.  Stabilizers and center equivariance are
-  checked by label only on blocks whose stabilizer C1 in the center is
-  nontrivial, equivariance at every symbol of the first such block of each
-  center orbit of blocks; on the others they follow from the slot
-  structure;
+  checked by label only on the blocks whose stabilizer C1 in the center is
+  nontrivial, which the blocks fixed by the central elements of prime order
+  give, equivariance at every symbol of each; on the others they follow
+  from the slot structure and from a check that the center keeps the size
+  of every orbit;
 * kappa_divisibility, sl_blockwise_awc, sl_global_consistency: the SL-level
   counts, run only when symbols.sl_refusal admits the instance (ell odd and
   prime to gcd(n, q - eps)); the rows of a refused instance carry the
   kernel's SL counts, but the reports write the refusal in their place.
   The first two come from the kernel, which counts the per-SL-block sums by
   orbit-stabilizer in the block stabilizer C1; the last compares the
-  instance totals sl_block_count and sl_total_ibr, which are sums of the
-  kernel's per-block results.  sl_total_ibr, the sum of stabilizer orders
-  over center orbits of symbols, is counted by orbit-stabilizer as the sum
-  of squared stabilizer orders over all symbols divided by the center
-  order; a remainder fails the check, as one in a per-block division fails
-  sl_blockwise_awc.
+  instance totals, sl_block_count and sl_total_ibr.  All of them are counted
+  by orbit-stabilizer in the center Z over every block: sl_block_count, the
+  sum of kappa_b over center orbits of blocks, is kappa_b |C1| summed over
+  the blocks and divided by |Z|; the SL Brauer characters of the covered
+  blocks are kappa_b sl_ibr |C1| summed and divided the same way; and
+  sl_total_ibr, the sum of stabilizer orders over center orbits of symbols,
+  is the sum of squared stabilizer orders over all symbols divided by |Z|.
+  A remainder in any of the three divisions fails the check, as one in a
+  per-block division fails sl_blockwise_awc.
 
 Reports serialize to JSON or CSV with fully deterministic bytes.  The JSON
 layout is written out by hand in reports_to_json and its templates, straight
@@ -50,6 +54,7 @@ from .arith import InstanceParams
 from .semisimple import center_elements, clear_orbit_caches
 from .symbols import (
     BlockCounts,
+    IDENTITY_ORBITS,
     BlockSymbol,
     block_counts,
     block_to_jsonable,
@@ -103,9 +108,11 @@ def run_instance(
     try:
         if unipotent_only:
             refusal = REFUSAL_FILTERED
+            orbits = IDENTITY_ORBITS
             blocks = unipotent_blocks(params)
         else:
             refusal = sl_refusal(params)
+            orbits = None  # every orbit of the instance
             blocks = enumerate_block_symbols(params)
         admitted = refusal is None
         checks = dict.fromkeys(
@@ -115,28 +122,34 @@ def run_instance(
         rows: list[BlockCounts] = []
         total_symbols = 0
         total_weights = 0
-        sl_block_count = 0
-        covered_times_ibr = 0
+        covered_sum = 0
+        covered_ibr_sum = 0
         stab_sq_total = 0
-        for row in block_counts(blocks, params):
+        for row in block_counts(blocks, params, orbits):
             for name in row.failed:
                 if name in checks:
                     checks[name] = False
             total_symbols += row.ibr
             total_weights += row.weights
             stab_sq_total += row.stab_sq_sum
-            if admitted and row.is_rep:
-                sl_block_count += row.kappa_b
-                covered_times_ibr += row.kappa_b * row.sl_ibr
+            if admitted:
+                covered = row.kappa_b * row.c1_order
+                covered_sum += covered
+                covered_ibr_sum += covered * row.sl_ibr
             rows.append(row)
 
-        # Orbit-stabilizer: a center orbit of symbols with stabilizer order k
-        # has |Z| / k members, so summing k^2 / |Z| over all symbols gives the
-        # sum of k over the orbits.
-        total_kappa, rem = divmod(stab_sq_total, center_elements(params).order)
+        # Orbit-stabilizer in the center Z: an orbit of blocks with
+        # stabilizer C1 has |Z| / |C1| members, and one of symbols with
+        # stabilizer order k has |Z| / k, so the sums weighted by |C1| or k
+        # over |Z| add each orbit once.
+        order = center_elements(params).order
+        sl_block_count, block_rem = divmod(covered_sum, order)
+        covered_times_ibr, ibr_rem = divmod(covered_ibr_sum, order)
+        total_kappa, rem = divmod(stab_sq_total, order)
         if admitted:
             checks["sl_global_consistency"] = (
-                rem == 0 and covered_times_ibr == total_kappa
+                not (block_rem or ibr_rem or rem)
+                and covered_times_ibr == total_kappa
             )
 
         totals = {

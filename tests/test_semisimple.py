@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +16,10 @@ from blockweights.semisimple import (
     center_elements,
     enumerate_ellprime_orbits,
     orbit_of,
+    orbit_table,
     root_label,
     suborbit,
+    translate,
     twist_modulus,
 )
 
@@ -135,25 +138,23 @@ def test_suborbit_known():
     assert suborbit(root_label(1, 9), 3, params9.eq) == (root_label(1, 9),)
 
 
-def test_suborbit_refuses_a_denominator_not_prime_to_eq(monkeypatch):
+def test_suborbit_refuses_a_denominator_not_prime_to_eq():
     """As orbit_of does; the twist step is no permutation of such labels, so
-    the walk would never return.  The step is capped at 1,000 calls so that
-    a walk fails rather than hangs."""
+    the walk would never return."""
     params = make_params(n=1, q=4, eps=1, ell=3)
     with pytest.raises(DomainError):
         orbit_of(root_label(1, 2), params)
-    real_step = semisimple._twist_step
-    calls = []
-
-    def capped_step(sigma, d, eq):
-        calls.append(sigma)
-        if len(calls) > 1000:
-            raise RuntimeError("suborbit walked 1,000 steps")
-        return real_step(sigma, d, eq)
-
-    monkeypatch.setattr(semisimple, "_twist_step", capped_step)
     with pytest.raises(DomainError):
         suborbit(root_label(1, 2), 1, params.eq)
+
+
+def test_suborbit_walk_is_bounded_by_its_denominator(monkeypatch):
+    """With the coprimality check bypassed, the walk from 1/2 under eq = 4
+    falls to 0/2 and stays there; it stops after den steps and raises
+    instead of hanging."""
+    monkeypatch.setattr(semisimple, "math", types.SimpleNamespace(gcd=lambda a, b: 1))
+    with pytest.raises(InvariantViolationError, match="did not return in 2 steps"):
+        suborbit(root_label(1, 2), 1, 4)
 
 
 def test_suborbit_size_formula():
@@ -233,6 +234,35 @@ def test_enumerated_orbits_are_twist_walks():
                         assert orb.size == mult_order(params.eq, orb.rep.den)
                         assert orb.size == len(walk)
                         assert orb.rep == min(walk)
+
+
+def test_orbit_table_owners_and_translates():
+    """The owner table lists each orbit at exactly the labels of its twist
+    walk, and its translate is act_on_orbit, for every central element and
+    every orbit of every n <= 4 grid instance.  A table without the label
+    gives None."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for ell in (2, 3, 5, 7):
+            if q % ell == 0:
+                continue
+            for eps in (1, -1):
+                for n in (1, 2, 3, 4):
+                    params = make_params(n=n, q=q, eps=eps, ell=ell)
+                    orbits, owners = orbit_table(params)
+                    listed = {
+                        RootLabel(den, num): owner
+                        for den, row in owners.items()
+                        for num, owner in enumerate(row)
+                        if owner is not None
+                    }
+                    assert listed == {
+                        x: orb for orb in orbits for x in suborbit(orb.rep, 1, params.eq)
+                    }
+                    for z in center_elements(params).elements:
+                        for orb in orbits:
+                            image = translate(z, orb, owners)
+                            assert image == act_on_orbit(z, orb, params.eq)
+                            assert translate(z, orb, {}) is None
 
 
 def test_orbit_enumeration_per_degree_counts():

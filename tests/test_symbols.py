@@ -129,23 +129,15 @@ def slot_lists(block, params):
     return mus, funcs
 
 
-def reference_block_counts(blocks, params):
-    """Reference: the label-level kernel.  On every block it enumerates,
-    relabels and round-trips every symbol, and at the first block of each
-    center orbit it checks equivariance by label, whatever the block's C1."""
-    eq = params.eq
-    table = params.e_gamma_table
+def reference_block_c1(blocks, params):
+    """Reference: the block-level center scan.  Yields, per block, C1
+    without the identity and whether the block is the first of its center
+    orbit among those passed.  The first block of each orbit is acted on by
+    every nontrivial central element; the other members are kept with its
+    C1 until they come."""
     zs_rest = center_elements(params).elements[1:]
     pending = {}
     for block in blocks:
-        failed = set()
-        nsym = nwt = 1
-        for orbit, m, lam in block.triples:
-            e = table[orbit.size - 1]
-            nsym *= count_with_core(m, e, lam)
-            nwt *= count_core_functions(e, (m - sum(lam)) // e, params.ell)
-        if nsym != nwt:
-            failed.add("gl_blockwise_awc")
         is_rep = block not in pending
         if is_rep:
             c1_rest = []
@@ -157,6 +149,27 @@ def reference_block_counts(blocks, params):
                     pending[acted] = c1_rest
         else:
             c1_rest = pending.pop(block)
+        yield tuple(c1_rest), is_rep
+
+
+def reference_block_counts(blocks, params):
+    """Reference: the label-level kernel.  On every block it enumerates,
+    relabels and round-trips every symbol, takes C1 from the block-level
+    center scan, and at the first block of each center orbit it checks
+    equivariance by label, whatever the block's C1."""
+    eq = params.eq
+    table = params.e_gamma_table
+    zs_rest = center_elements(params).elements[1:]
+    blocks = tuple(blocks)
+    for block, (c1_rest, is_rep) in zip(blocks, reference_block_c1(blocks, params)):
+        failed = set()
+        nsym = nwt = 1
+        for orbit, m, lam in block.triples:
+            e = table[orbit.size - 1]
+            nsym *= count_with_core(m, e, lam)
+            nwt *= count_core_functions(e, (m - sum(lam)) // e, params.ell)
+        if nsym != nwt:
+            failed.add("gl_blockwise_awc")
         kappa_b = 1
         if c1_rest:
             steps = symbols._block_steps(block, params)
@@ -204,7 +217,7 @@ def reference_block_counts(blocks, params):
         if ibr_rem or wt_rem or sl_ibr != sl_weights:
             failed.add("sl_blockwise_awc")
         yield symbols.BlockCounts(
-            block, nsym, nwt, kappa_b, is_rep, sl_ibr, sl_weights, stab_sq_sum,
+            block, nsym, nwt, kappa_b, 1 + len(c1_rest), sl_ibr, sl_weights, stab_sq_sum,
             tuple(sorted(failed)),
         )
 
@@ -528,19 +541,22 @@ def test_kappa_block_agrees_with_c1_c2():
 
 
 def test_block_counts_match_reference_orbits():
-    """The kernel's stabilizer orders, kappa_b and SL sums equal those of
-    the full z_act orbits, summed once per orbit, and of C1 and C2; its
+    """The kernel's stabilizer orders, |C1|, kappa_b and SL sums equal those
+    of the full z_act orbits, summed once per orbit, and of C1 and C2; its
     squared stabilizer sums, over the center order, count stabilizers once
-    per center orbit.
-    The kernel runs on each block alone and over the sorted block list of
-    the instance, where the later blocks of a center orbit take C1 from
-    the first and only the least block is the representative."""
+    per center orbit, and kappa_b |C1| over the center order counts kappa_b
+    once per center orbit of blocks.
+    The kernel runs over the sorted block list of the instance and on each
+    block alone, over every orbit of the instance and over the block's own
+    orbits."""
     assert [center_elements(p).order for p in REFERENCE_INSTANCES] == [4, 3, 5, 10, 2]
     shared_orbits = 0
     for params in REFERENCE_INSTANCES:
         zs_rest = center_elements(params).elements[1:]
         rep_stab_total = 0
         stab_sq_total = 0
+        rep_kappa_total = 0
+        covered_total = 0
         blocks = enumerate_block_symbols(params)
         swept = dict(zip(blocks, block_counts(blocks, params)))
         for b in blocks:
@@ -565,41 +581,114 @@ def test_block_counts_match_reference_orbits():
                 assert all(n % kappa_b == 0 for n in per_orbit.values())
                 sums.append(sum(n // kappa_b for n in per_orbit.values()))
             (alone,) = block_counts((b,), params)
-            assert alone.is_rep
-            assert swept[b].is_rep == (orbit[0] == b)
-            for counts in (alone, swept[b]):
+            (own,) = block_counts((b,), params, symbols._block_orbits(b))
+            for counts in (alone, own, swept[b]):
                 assert counts.block == b
+                assert counts.c1_order == len(c1) == stab
                 assert counts.kappa_b == kappa_b
                 assert [counts.sl_ibr, counts.sl_weights] == sums
                 assert counts.stab_sq_sum == stab_sq_sum
                 assert not counts.failed
             stab_sq_total += swept[b].stab_sq_sum
-        assert divmod(stab_sq_total, center_elements(params).order) == (
-            rep_stab_total,
-            0,
-        )
+            covered_total += swept[b].kappa_b * swept[b].c1_order
+            if orbit[0] == b:
+                rep_kappa_total += kappa_b
+        order = center_elements(params).order
+        assert divmod(stab_sq_total, order) == (rep_stab_total, 0)
+        assert divmod(covered_total, order) == (rep_kappa_total, 0)
     assert shared_orbits
 
 
 def test_block_counts_follow_the_input_order_and_subset():
-    """On the reversed block list and on the unipotent blocks alone, each
-    block gets the counts of the sorted sweep, and the representatives are
-    the first block of each center orbit that meets the input."""
+    """Whatever the order or subset of blocks passed, and over every orbit
+    of the instance or over the orbits the blocks are built from, each
+    block gets the record of the sorted sweep."""
     for params in REFERENCE_INSTANCES:
         blocks = enumerate_block_symbols(params)
         swept = {counts.block: counts for counts in block_counts(blocks, params)}
-        unipotent = [b for b in blocks if is_unipotent_block(b)]
-        for given in (blocks[::-1], unipotent):
-            results = list(block_counts(given, params))
-            assert [counts.block for counts in results] == list(given)
-            seen = set()
-            for counts in results:
-                orbit_rep = orbit_and_stabilizer(counts.block, params)[0][0]
-                assert counts.is_rep == (orbit_rep not in seen)
-                seen.add(orbit_rep)
-                assert counts._replace(is_rep=None) == swept[
-                    counts.block
-                ]._replace(is_rep=None)
+        unipotent = unipotent_blocks(params)
+        for given, orbits in (
+            (blocks[::-1], None),
+            (blocks[1::2], None),
+            (blocks[-1:], None),
+            (unipotent, None),
+            (unipotent, symbols.IDENTITY_ORBITS),
+        ):
+            results = list(block_counts(given, params, orbits))
+            assert results == [swept[b] for b in given]
+        for b in blocks:
+            (alone,) = block_counts((b,), params, symbols._block_orbits(b))
+            assert alone == swept[b]
+
+
+def test_fixed_block_pass_finds_every_nontrivial_stabilizer():
+    """The fixed-block pass maps exactly the blocks with C1 != 1 to C1
+    without the identity, as the brute-force z_act scan of block_c1_c2
+    finds them, over every orbit of the instance and over each block's own
+    orbits; over the identity orbit it finds none.  At order 4 (P25) the
+    element 1/2 of prime order does not generate the center, and the
+    blocks with C1 of order 2 are found through it."""
+    for params in REFERENCE_INSTANCES:
+        brute = {}
+        for b in enumerate_block_symbols(params):
+            c1, _ = block_c1_c2(b, params)
+            if len(c1) > 1:
+                brute[b] = c1[1:]
+            own = symbols._block_stabilizers(params, symbols._block_orbits(b))
+            assert own.get(b, ()) == brute.get(b, ())
+        assert symbols._block_stabilizers(params, None) == brute
+        assert symbols._block_stabilizers(params, symbols.IDENTITY_ORBITS) == {}
+    found = symbols._block_stabilizers(P25, None)
+    assert found and set(found.values()) == {(root_label(1, 2),)}
+
+
+def grid_params(ns):
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for ell in (2, 3, 5, 7):
+            if ell == prime_power_decomposition(q)[0]:
+                continue
+            for eps in (1, -1):
+                for n in ns:
+                    yield make_params(n=n, q=q, eps=eps, ell=ell)
+
+
+@pytest.mark.slow
+def test_fixed_block_pass_satisfies_burnside():
+    """Burnside's lemma on every n <= 5 grid instance: (1/|Z|) sum_z |Fix(z)|
+    is the number of center orbits of blocks.  Fix(1) holds every block, and
+    the pass counts each other z at the blocks it fixes; the orbits are
+    counted by the block-level reference scan."""
+    nontrivial = 0
+    for params in grid_params((1, 2, 3, 4, 5)):
+        blocks = enumerate_block_symbols(params)
+        stabilizers = symbols._block_stabilizers(params, None)
+        fixed = len(blocks) + sum(len(c1_rest) for c1_rest in stabilizers.values())
+        orbit_count = sum(is_rep for _, is_rep in reference_block_c1(blocks, params))
+        assert divmod(fixed, center_elements(params).order) == (orbit_count, 0)
+        nontrivial += bool(stabilizers)
+    assert nontrivial
+
+
+def test_planted_size_changing_translate_raises(monkeypatch):
+    """A translate that changes the size of one orbit makes run_instance
+    raise."""
+    params = make_params(n=2, q=9, eps=-1, ell=7)
+    real_translate = symbols.translate
+    target = enumerate_ellprime_orbits(params)[-1]
+
+    def wrong_size(z, orbit, owners):
+        image = real_translate(z, orbit, owners)
+        if image == target:
+            return image._replace(size=image.size + 1)
+        return image
+
+    symbols.clear_symbol_caches()
+    monkeypatch.setattr(symbols, "translate", wrong_size)
+    with pytest.raises(InvariantViolationError, match="changed orbit size"):
+        run_instance(params)
+    monkeypatch.undo()
+    symbols.clear_symbol_caches()
+    assert run_instance(params).all_passed
 
 
 def test_block_counts_equal_the_label_level_reference():
@@ -815,12 +904,35 @@ def test_gl_check_sees_a_planted_fault(check, monkeypatch, plant):
         symbols.clear_symbol_caches()
 
 
+def _rows_with_a_remainder(fault, real_block_counts):
+    """A stand-in for block_counts that plants one fault in its rows: one
+    more block orbit member, with kappa_b |C1| = 1 and no Brauer character,
+    so that only kappa_b |C1| summed over the blocks leaves a remainder over
+    the center order; or one more SL Brauer character on a block whose
+    kappa_b |C1| is 1, so that only kappa_b sl_ibr |C1| summed does,
+    while its quotient stays the squared stabilizer total's."""
+
+    def block_counts(blocks, params, orbits):
+        rows = list(real_block_counts(blocks, params, orbits))
+        i = next(i for i, row in enumerate(rows) if row.kappa_b * row.c1_order == 1)
+        row = rows[i]
+        if fault == "one more block orbit member":
+            rows.append(row._replace(ibr=0, weights=0, sl_ibr=0, sl_weights=0, stab_sq_sum=0))
+        else:
+            rows[i] = row._replace(sl_ibr=row.sl_ibr + 1, sl_weights=row.sl_weights + 1)
+        yield from rows
+
+    return block_counts
+
+
 @pytest.mark.parametrize(
     "check, fault",
     [
         ("sl_blockwise_awc", "weight stabilizers doubled"),
         ("sl_blockwise_awc", "every stabilizer 1"),
         ("sl_global_consistency", "center order doubled"),
+        ("sl_global_consistency", "one more block orbit member"),
+        ("sl_global_consistency", "one more SL Brauer character"),
     ],
 )
 def test_sl_check_sees_a_planted_fault(check, fault, monkeypatch):
@@ -829,8 +941,10 @@ def test_sl_check_sees_a_planted_fault(check, fault, monkeypatch):
     each sl_weights is four times sl_ibr; every label looks fixed by no
     central element, so the squared stabilizer orders of a block whose
     stabilizer C1 has order 2 leave a remainder over |C1| kappa_b while
-    sl_ibr == sl_weights; run_instance divides the squared stabilizer total
-    by twice the center order."""
+    sl_ibr == sl_weights; run_instance divides its three sums by twice the
+    center order; or a remainder in one of the two sums that run_instance
+    divides by the center order for sl_block_count and sl_total_ibr
+    (_rows_with_a_remainder)."""
     real_stabilizer = symbols._stabilizer
     real_center = verify.center_elements
     faults = {
@@ -849,9 +963,16 @@ def test_sl_check_sees_a_planted_fault(check, fault, monkeypatch):
             ),
         ),
     }
+    for name in ("one more block orbit member", "one more SL Brauer character"):
+        faults[name] = (
+            verify, "block_counts", _rows_with_a_remainder(name, verify.block_counts)
+        )
     assert run_instance(P25).checks[check]
     monkeypatch.setattr(*faults[fault])
-    assert run_instance(P25).checks[check] is False
+    report = run_instance(P25)
+    assert report.checks[check] is False
+    if fault.startswith("one more"):
+        assert [name for name, ok in report.checks.items() if not ok] == [check]
 
 
 def test_weight_symbols_per_block_worked_instance():
