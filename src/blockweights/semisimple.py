@@ -101,16 +101,22 @@ def center_act(z: RootLabel, sigma: RootLabel) -> RootLabel:
     return RootLabel(den // g, num // g)
 
 
-@lru_cache(maxsize=None)
-def act_on_orbit(z: RootLabel, orbit: FrobeniusOrbit, eq: int) -> FrobeniusOrbit:
+def translate_orbit(z: RootLabel, orbit: FrobeniusOrbit, eq: int) -> FrobeniusOrbit:
     """The canonical z-translate of orbit; raises if the translation changes
-    the orbit size."""
-    image = _orbit_of(center_act(z, orbit.rep), eq)
+    the orbit size.  It caches nothing, so a walk over every orbit of an
+    instance keeps no entry per orbit."""
+    walk = suborbit(center_act(z, orbit.rep), 1, eq)
+    image = FrobeniusOrbit(min(walk), len(walk))
     if image.size != orbit.size:
         raise InvariantViolationError(
             f"central translation changed orbit size: {orbit.rep} -> {image.rep}"
         )
     return image
+
+
+# translate_orbit cached for block translations, which meet the same
+# (z, orbit) again and again.
+act_on_orbit = lru_cache(maxsize=None)(translate_orbit)
 
 
 def _divisors(m: int) -> list[int]:
@@ -132,25 +138,16 @@ def twist_modulus(d: int, params: InstanceParams) -> int:
     return abs(params.eq**d - 1)
 
 
-class OrbitTable(NamedTuple):
-    """The twist orbits of an instance, sorted, with the orbit that owns each
-    label: owners[den][num] is the orbit holding num/den, None when num is
-    not a unit mod den."""
-
-    orbits: tuple[FrobeniusOrbit, ...]
-    owners: dict[int, list[FrobeniusOrbit | None]]
-
-
 @lru_cache(maxsize=None)
-def orbit_table(params: InstanceParams) -> OrbitTable:
-    """All twist orbits of ell'-labels of degree at most n, sorted
-    canonically, with the owner of each of their labels.
+def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, ...]:
+    """All twist orbits of ell'-labels of degree at most n, sorted canonically.
 
     Per denominator den, the orbits are the cosets num * <eq> of the units:
-    each unit num not yet owned, ascending, is the least element of its
-    coset, which then owns every member.  The denominators and then the
-    numerators ascend, so the orbits come sorted by representative; den = 1
-    gives the identity, num = 0.
+    each unit num not yet met, ascending, is the least element of its coset,
+    which is then marked met.  The denominators and then the numerators
+    ascend, so the orbits come sorted by representative; den = 1 gives the
+    identity, num = 0.  Cached per instance: the blocks and the fixed-block
+    pass of symbols both run over it.
     """
     eq = params.eq
     dens: set[int] = set()
@@ -158,38 +155,20 @@ def orbit_table(params: InstanceParams) -> OrbitTable:
         modulus = ell_prime_part(twist_modulus(d, params), params.ell)
         dens.update(_divisors(modulus))
     orbits: list[FrobeniusOrbit] = []
-    owners: dict[int, list[FrobeniusOrbit | None]] = {}
     for den in sorted(dens):
         powers = [1 % den]
         u = eq % den
         while u != powers[0]:
             powers.append(u)
             u = u * eq % den
-        owner: list[FrobeniusOrbit | None] = [None] * den
+        seen = bytearray(den)
         for num in range(den):
-            if owner[num] is not None or math.gcd(num, den) != 1:
+            if seen[num] or math.gcd(num, den) != 1:
                 continue
-            orbit = FrobeniusOrbit(RootLabel(den, num), len(powers))
-            orbits.append(orbit)
+            orbits.append(FrobeniusOrbit(RootLabel(den, num), len(powers)))
             for u in powers:
-                owner[num * u % den] = orbit
-        owners[den] = owner
-    return OrbitTable(tuple(orbits), owners)
-
-
-def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, ...]:
-    """All twist orbits of ell'-labels of degree at most n, sorted canonically
-    (orbit_table)."""
-    return orbit_table(params).orbits
-
-
-def translate(z: RootLabel, orbit: FrobeniusOrbit, owners) -> FrobeniusOrbit | None:
-    """The z-translate of orbit read from owners, an OrbitTable.owners; None
-    when the table does not list it.  Unlike act_on_orbit, it walks no orbit
-    and does not compare sizes."""
-    x = center_act(z, orbit.rep)
-    row = owners.get(x.den)
-    return None if row is None else row[x.num]
+                seen[num * u % den] = 1
+    return tuple(orbits)
 
 
 @dataclass(frozen=True)
@@ -216,4 +195,4 @@ def clear_orbit_caches() -> None:
     """Drop per-regime orbit caches; used between grid regimes to bound memory."""
     _orbit_of.cache_clear()
     act_on_orbit.cache_clear()
-    orbit_table.cache_clear()
+    enumerate_ellprime_orbits.cache_clear()

@@ -39,7 +39,7 @@ The center acts on a block only where it fixes it.  The center is cyclic,
 so C1 != 1 exactly when the element 1/r of some prime order r fixes the
 block, and such a block is a union of <1/r>-cycles of orbits with one
 (m, core) along each cycle.  _block_stabilizers builds those blocks once per
-orbit tuple and finds their C1 by z_act; every other block has C1 = 1, so a
+instance and finds their C1 by z_act; every other block has C1 = 1, so a
 block's record does not depend on the other blocks passed.  Over the blocks
 of an instance the SL totals are counted by orbit-stabilizer as well: a
 block orbit has |Z| / |C1| members.
@@ -80,9 +80,8 @@ from .semisimple import (
     center_act,
     center_elements,
     enumerate_ellprime_orbits,
-    orbit_table,
     suborbit,
-    translate,
+    translate_orbit,
 )
 from .weights import (
     CoreFunction,
@@ -303,14 +302,14 @@ def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     return _sorted_blocks(enumerate_ellprime_orbits(params), params)
 
 
-# The orbit tuple of the unipotent blocks.
-IDENTITY_ORBITS = (FrobeniusOrbit(IDENTITY, 1),)
+# The orbit of the unipotent blocks.
+IDENTITY_ORBIT = FrobeniusOrbit(IDENTITY, 1)
 
 
 def unipotent_blocks(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     """The blocks of the identity orbit alone, sorted: one per e-core of a
     partition of n, with e = e_gamma(1)."""
-    return _sorted_blocks(IDENTITY_ORBITS, params)
+    return _sorted_blocks((IDENTITY_ORBIT,), params)
 
 
 # Suborbit constraints and the block stabilizer count.
@@ -345,12 +344,8 @@ def _block_steps(block: BlockSymbol, params: InstanceParams):
 
 def kappa_block(block: BlockSymbol, params: InstanceParams) -> int:
     """Number of SL-blocks covered by this block: |C1 intersect C2|."""
-    (counts,) = block_counts((block,), params, _block_orbits(block))
+    (counts,) = block_counts((block,), params)
     return counts.kappa_b
-
-
-def _block_orbits(block: BlockSymbol) -> tuple[FrobeniusOrbit, ...]:
-    return tuple(orb for orb, _, _ in block.triples)
 
 
 # The blocks whose stabilizer C1 in the center is nontrivial.  The center Z
@@ -384,50 +379,36 @@ def _fixed_blocks_after(cycles, candidates, table, last: int, budget: int, head)
 
 @lru_cache(maxsize=None)
 def _block_stabilizers(
-    params: InstanceParams, orbits: tuple[FrobeniusOrbit, ...] | None
+    params: InstanceParams,
 ) -> dict[BlockSymbol, tuple[RootLabel, ...]]:
-    """Map every block over the sorted orbit tuple orbits (None: every orbit
-    of the instance) whose stabilizer C1 in the center is nontrivial to C1
-    without the identity.  Absent blocks have C1 = 1.
+    """Map every block of the instance whose stabilizer C1 in the center is
+    nontrivial to C1 without the identity.  Absent blocks have C1 = 1.
 
-    With g = 1/|Z| it walks the <g>-cycle through each orbit, reading each
-    translate from the orbit table of the instance or, for an orbit tuple
-    passed in, from act_on_orbit; it raises if a translate has another size
-    than the orbit, or if the cycle does not close within |Z| steps.  As
-    every central element is a power of g, every z keeps the size of every
-    orbit.  1/r = g**(|Z| / r) moves a cycle of length L by |Z| / r mod L
-    places, which splits it into its <1/r>-cycles; only those lying inside
-    the tuple are kept.  The blocks over them fixed by 1/r come from
-    _fixed_blocks_after, and only on those z_act finds C1.
+    With g = 1/|Z| it walks the <g>-cycle through each orbit by
+    translate_orbit, which raises if a translate has another size than the
+    orbit; the walk raises if the cycle does not close within |Z| steps.
+    As every central element is a power of g, every z keeps the size of
+    every orbit.  1/r = g**(|Z| / r) moves a cycle of length L by
+    |Z| / r mod L places, which splits it into its <1/r>-cycles.  The
+    blocks over them fixed by 1/r come from _fixed_blocks_after, and only
+    on those z_act finds C1.
     """
     center = center_elements(params)
     order = center.order
     if order == 1:
         return {}
     eq = params.eq
-    if orbits is None:
-        orbits, owners = orbit_table(params)
-    else:
-        owners = {}
-    members = set(orbits)
     n = params.n
     primes = [r for r in _divisors(order) if is_prime(r)]
     cycles: dict[int, list] = {r: [] for r in primes}
     g = RootLabel(order, 1)
     seen: set = set()
-    for orb in orbits:
+    for orb in enumerate_ellprime_orbits(params):
         if orb in seen:
             continue
         walk = [orb]
         while True:
-            image = translate(g, walk[-1], owners)
-            if image is None:
-                image = act_on_orbit(g, walk[-1], eq)
-            if image.size != orb.size:
-                raise InvariantViolationError(
-                    f"central translation changed orbit size: {walk[-1].rep}"
-                    f" -> {image.rep}"
-                )
+            image = translate_orbit(g, walk[-1], eq)
             if image == orb:
                 break
             walk.append(image)
@@ -440,13 +421,10 @@ def _block_stabilizers(
         for r in primes:
             if order // r % length == 0:
                 # 1/r fixes every orbit of the cycle.
-                cycles[r].extend((x,) for x in walk if x in members)
+                cycles[r].extend((x,) for x in walk)
             elif orb.size * r <= n:
                 span = length // r
-                for i in range(span):
-                    cycle = tuple(walk[i::span])
-                    if all(x in members for x in cycle):
-                        cycles[r].append(cycle)
+                cycles[r].extend(tuple(walk[i::span]) for i in range(span))
     table = params.e_gamma_table
     zs_rest = center.elements[1:]
     stabilizers: dict[BlockSymbol, tuple[RootLabel, ...]] = {}
@@ -646,17 +624,16 @@ def _slot_counts(m: int, e: int, lam: Partition, ell: int):
     )
 
 
-def block_counts(blocks, params: InstanceParams, orbits=None):
+def block_counts(blocks, params: InstanceParams):
     """Yield one BlockCounts per block, in order: count, restrict to SL and
     check each block.
 
-    orbits is the sorted orbit tuple the blocks are built over: None, the
-    default, for every orbit of the instance (enumerate_block_symbols),
-    IDENTITY_ORBITS for unipotent_blocks, or the orbits of one block
-    (kappa_block, sl_block_report).  _block_stabilizers maps the blocks over
-    it with C1 != 1 to their C1, once per tuple; a block is looked up there
-    and nowhere else, so its record does not depend on the blocks passed
-    with it.  A block over orbits outside the tuple would read C1 = 1.
+    A block's C1 is looked up in the map of _block_stabilizers for the
+    instance and nowhere else, so its record does not depend on the blocks
+    passed with it.  A unipotent block, on the identity orbit alone, has
+    C1 = 1 without a look-up: z != 1 moves the identity orbit to the orbit
+    of z.  So the map is built at the first block that is not unipotent,
+    and a unipotent-only run builds none.
 
     The SL quantities are computed whether or not sl_refusal admits the
     instance; callers decide whether they apply.  On an admitted instance
@@ -682,9 +659,9 @@ def block_counts(blocks, params: InstanceParams, orbits=None):
       the block has as many weight symbols as symbols (the two checks
       above), to is onto them and to(from(w)) == w for each.
 
-    The center.  C1 comes from _block_stabilizers.  A central element
-    outside C1 moves every label of the block into another block, so the
-    stabilizer of a label lies in C1.  When C1 = 1, every label stabilizer is 1 and
+    The center.  A central element outside the block stabilizer C1 moves
+    every label of the block into another block, so the stabilizer of a
+    label lies in C1.  When C1 = 1, every label stabilizer is 1 and
     kappa_b = 1: the squared stabilizer sums are the list lengths,
     kappa_divisibility and bijection_kappa_preserved hold, and no label is
     built.  A block with C1 != 1 scans its labels under C1:
@@ -702,11 +679,13 @@ def block_counts(blocks, params: InstanceParams, orbits=None):
     and z to(s) have the same entries, except that one reads e at the size
     of z orb and the other at that of orb; both sort their entries by the
     distinct orbits.  _block_stabilizers walks the center cycle of every
-    orbit of the tuple under the generator 1/|Z| and raises if an orbit on
-    it has another size.  Every z is a power of the generator, so no z
+    orbit of the instance under the generator 1/|Z| and raises if an orbit
+    on it has another size.  Every z is a power of the generator, so no z
     changes the size of an orbit of a block passed, and to(z s) == z to(s)
     on them all (test_symbols::test_to_weight_symbol_commutes_with_z_act
-    checks it at every z and every symbol of every block).
+    checks it at every z and every symbol of every block).  On a unipotent
+    block the orbit of z has size 1, as the identity orbit: q - eps divides
+    eq - 1, so the twist fixes z.
 
     The per-SL-block sums are counted by orbit-stabilizer in C1 and divided
     by |C1| kappa_b; a remainder fails sl_blockwise_awc.
@@ -715,7 +694,7 @@ def block_counts(blocks, params: InstanceParams, orbits=None):
     ell = params.ell
     table = params.e_gamma_table
     zs_rest = center_elements(params).elements[1:]
-    stabilizers = _block_stabilizers(params, orbits)
+    stabilizers = None
     for block in blocks:
         failed: set[str] = set()
         nsym = nwt = listed_sym = listed_wt = 1
@@ -734,8 +713,14 @@ def block_counts(blocks, params: InstanceParams, orbits=None):
             failed.add("counts_match")
         # kappa_b = |C1 intersect C2|: C1 is the setwise stabilizer of the
         # block in the center, C2 the elements that fix every constraint
-        # suborbit of it.
-        c1_rest = stabilizers.get(block, ()) if stabilizers else ()
+        # suborbit of it.  The triples are sorted, so the block is
+        # unipotent when its last orbit is the identity.
+        if block.triples[-1][0] == IDENTITY_ORBIT:
+            c1_rest = ()
+        else:
+            if stabilizers is None:
+                stabilizers = _block_stabilizers(params)
+            c1_rest = stabilizers.get(block, ())
 
         kappa_b = 1
         # C1 = 1: every stabilizer is 1, each squared stabilizer sum is the
@@ -796,7 +781,7 @@ def sl_block_report(block: BlockSymbol, params: InstanceParams) -> BlockCounts:
     refusal = sl_refusal(params)
     if refusal is not None:
         raise UnsupportedModeError(refusal)
-    (counts,) = block_counts((block,), params, _block_orbits(block))
+    (counts,) = block_counts((block,), params)
     if "kappa_divisibility" in counts.failed:
         raise InvariantViolationError(
             f"a stabilizer order in block {block_to_jsonable(block)} is not divisible"

@@ -54,7 +54,6 @@ from .arith import InstanceParams
 from .semisimple import center_elements, clear_orbit_caches
 from .symbols import (
     BlockCounts,
-    IDENTITY_ORBITS,
     BlockSymbol,
     block_counts,
     block_to_jsonable,
@@ -108,11 +107,9 @@ def run_instance(
     try:
         if unipotent_only:
             refusal = REFUSAL_FILTERED
-            orbits = IDENTITY_ORBITS
             blocks = unipotent_blocks(params)
         else:
             refusal = sl_refusal(params)
-            orbits = None  # every orbit of the instance
             blocks = enumerate_block_symbols(params)
         admitted = refusal is None
         checks = dict.fromkeys(
@@ -125,7 +122,7 @@ def run_instance(
         covered_sum = 0
         covered_ibr_sum = 0
         stab_sq_total = 0
-        for row in block_counts(blocks, params, orbits):
+        for row in block_counts(blocks, params):
             for name in row.failed:
                 if name in checks:
                     checks[name] = False

@@ -16,10 +16,8 @@ from blockweights.semisimple import (
     center_elements,
     enumerate_ellprime_orbits,
     orbit_of,
-    orbit_table,
     root_label,
     suborbit,
-    translate,
     twist_modulus,
 )
 
@@ -234,35 +232,6 @@ def test_enumerated_orbits_are_twist_walks():
                         assert orb.size == mult_order(params.eq, orb.rep.den)
                         assert orb.size == len(walk)
                         assert orb.rep == min(walk)
-
-
-def test_orbit_table_owners_and_translates():
-    """The owner table lists each orbit at exactly the labels of its twist
-    walk, and its translate is act_on_orbit, for every central element and
-    every orbit of every n <= 4 grid instance.  A table without the label
-    gives None."""
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        for ell in (2, 3, 5, 7):
-            if q % ell == 0:
-                continue
-            for eps in (1, -1):
-                for n in (1, 2, 3, 4):
-                    params = make_params(n=n, q=q, eps=eps, ell=ell)
-                    orbits, owners = orbit_table(params)
-                    listed = {
-                        RootLabel(den, num): owner
-                        for den, row in owners.items()
-                        for num, owner in enumerate(row)
-                        if owner is not None
-                    }
-                    assert listed == {
-                        x: orb for orb in orbits for x in suborbit(orb.rep, 1, params.eq)
-                    }
-                    for z in center_elements(params).elements:
-                        for orb in orbits:
-                            image = translate(z, orb, owners)
-                            assert image == act_on_orbit(z, orb, params.eq)
-                            assert translate(z, orb, {}) is None
 
 
 def test_orbit_enumeration_per_degree_counts():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from blockweights import symbols, verify
+from blockweights import semisimple, symbols, verify
 from blockweights.arith import e_gamma, make_params, prime_power_decomposition
 from blockweights.errors import DomainError, InvariantViolationError, UnsupportedModeError
 from blockweights.partitions import count_with_core, distinct_cores, enumerate_with_core
@@ -547,8 +547,7 @@ def test_block_counts_match_reference_orbits():
     per center orbit, and kappa_b |C1| over the center order counts kappa_b
     once per center orbit of blocks.
     The kernel runs over the sorted block list of the instance and on each
-    block alone, over every orbit of the instance and over the block's own
-    orbits."""
+    block alone."""
     assert [center_elements(p).order for p in REFERENCE_INSTANCES] == [4, 3, 5, 10, 2]
     shared_orbits = 0
     for params in REFERENCE_INSTANCES:
@@ -581,8 +580,7 @@ def test_block_counts_match_reference_orbits():
                 assert all(n % kappa_b == 0 for n in per_orbit.values())
                 sums.append(sum(n // kappa_b for n in per_orbit.values()))
             (alone,) = block_counts((b,), params)
-            (own,) = block_counts((b,), params, symbols._block_orbits(b))
-            for counts in (alone, own, swept[b]):
+            for counts in (alone, swept[b]):
                 assert counts.block == b
                 assert counts.c1_order == len(c1) == stab
                 assert counts.kappa_b == kappa_b
@@ -600,45 +598,41 @@ def test_block_counts_match_reference_orbits():
 
 
 def test_block_counts_follow_the_input_order_and_subset():
-    """Whatever the order or subset of blocks passed, and over every orbit
-    of the instance or over the orbits the blocks are built from, each
-    block gets the record of the sorted sweep."""
+    """Whatever the order or subset of blocks passed, each block gets the
+    record of the sorted sweep, with the stabilizer map of the instance
+    built before or after the blocks come."""
     for params in REFERENCE_INSTANCES:
         blocks = enumerate_block_symbols(params)
-        swept = {counts.block: counts for counts in block_counts(blocks, params)}
         unipotent = unipotent_blocks(params)
-        for given, orbits in (
-            (blocks[::-1], None),
-            (blocks[1::2], None),
-            (blocks[-1:], None),
-            (unipotent, None),
-            (unipotent, symbols.IDENTITY_ORBITS),
-        ):
-            results = list(block_counts(given, params, orbits))
+        symbols.clear_symbol_caches()
+        assert list(block_counts(unipotent, params)) == list(
+            block_counts(unipotent[::-1], params)
+        )[::-1]
+        swept = {counts.block: counts for counts in block_counts(blocks, params)}
+        for given in (blocks[::-1], blocks[1::2], blocks[-1:], unipotent):
+            results = list(block_counts(given, params))
             assert results == [swept[b] for b in given]
         for b in blocks:
-            (alone,) = block_counts((b,), params, symbols._block_orbits(b))
+            symbols.clear_symbol_caches()
+            (alone,) = block_counts((b,), params)
             assert alone == swept[b]
 
 
 def test_fixed_block_pass_finds_every_nontrivial_stabilizer():
     """The fixed-block pass maps exactly the blocks with C1 != 1 to C1
     without the identity, as the brute-force z_act scan of block_c1_c2
-    finds them, over every orbit of the instance and over each block's own
-    orbits; over the identity orbit it finds none.  At order 4 (P25) the
-    element 1/2 of prime order does not generate the center, and the
-    blocks with C1 of order 2 are found through it."""
+    finds them; none is unipotent.  At order 4 (P25) the element 1/2 of
+    prime order does not generate the center, and the blocks with C1 of
+    order 2 are found through it."""
     for params in REFERENCE_INSTANCES:
         brute = {}
         for b in enumerate_block_symbols(params):
             c1, _ = block_c1_c2(b, params)
             if len(c1) > 1:
                 brute[b] = c1[1:]
-            own = symbols._block_stabilizers(params, symbols._block_orbits(b))
-            assert own.get(b, ()) == brute.get(b, ())
-        assert symbols._block_stabilizers(params, None) == brute
-        assert symbols._block_stabilizers(params, symbols.IDENTITY_ORBITS) == {}
-    found = symbols._block_stabilizers(P25, None)
+        assert symbols._block_stabilizers(params) == brute
+        assert not brute.keys() & set(unipotent_blocks(params))
+    found = symbols._block_stabilizers(P25)
     assert found and set(found.values()) == {(root_label(1, 2),)}
 
 
@@ -661,7 +655,7 @@ def test_fixed_block_pass_satisfies_burnside():
     nontrivial = 0
     for params in grid_params((1, 2, 3, 4, 5)):
         blocks = enumerate_block_symbols(params)
-        stabilizers = symbols._block_stabilizers(params, None)
+        stabilizers = symbols._block_stabilizers(params)
         fixed = len(blocks) + sum(len(c1_rest) for c1_rest in stabilizers.values())
         orbit_count = sum(is_rep for _, is_rep in reference_block_c1(blocks, params))
         assert divmod(fixed, center_elements(params).order) == (orbit_count, 0)
@@ -673,17 +667,17 @@ def test_planted_size_changing_translate_raises(monkeypatch):
     """A translate that changes the size of one orbit makes run_instance
     raise."""
     params = make_params(n=2, q=9, eps=-1, ell=7)
-    real_translate = symbols.translate
     target = enumerate_ellprime_orbits(params)[-1]
+    real_translate = semisimple.translate_orbit
 
-    def wrong_size(z, orbit, owners):
-        image = real_translate(z, orbit, owners)
+    def wrong_size(z, orbit, eq):
+        image = real_translate(z, orbit, eq)
         if image == target:
             return image._replace(size=image.size + 1)
         return image
 
     symbols.clear_symbol_caches()
-    monkeypatch.setattr(symbols, "translate", wrong_size)
+    monkeypatch.setattr(symbols, "translate_orbit", wrong_size)
     with pytest.raises(InvariantViolationError, match="changed orbit size"):
         run_instance(params)
     monkeypatch.undo()
@@ -912,8 +906,8 @@ def _rows_with_a_remainder(fault, real_block_counts):
     kappa_b |C1| is 1, so that only kappa_b sl_ibr |C1| summed does,
     while its quotient stays the squared stabilizer total's."""
 
-    def block_counts(blocks, params, orbits):
-        rows = list(real_block_counts(blocks, params, orbits))
+    def block_counts(blocks, params):
+        rows = list(real_block_counts(blocks, params))
         i = next(i for i, row in enumerate(rows) if row.kappa_b * row.c1_order == 1)
         row = rows[i]
         if fault == "one more block orbit member":

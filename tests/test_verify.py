@@ -165,7 +165,7 @@ def test_run_instance_leaves_the_collector_as_found(gc_state, enabled):
 def test_run_instance_restores_the_collector_on_raise(gc_state, monkeypatch):
     seen = []
 
-    def broken(blocks, params, orbits):
+    def broken(blocks, params):
         seen.append(gc.isenabled())
         raise InvariantViolationError("planted")
 
