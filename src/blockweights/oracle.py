@@ -12,6 +12,15 @@ determinant one elements.  Neither the group nor its classes depend on ell,
 so class_profile computes each group's order and class representative
 orders once per process and every ell of that group reads them.
 
+The closure and the conjugacy classes are searched over element indices,
+not matrices.  ElementIndex reads each matrix once as its row codes and its
+column codes (rows and columns as base-q integers).  Right multiplication
+by a generator g maps each row code through a table of q^n entries,
+T[v] = code(v g), left multiplication maps each column code through
+S[v] = code(g v), and the product is found by its codes in a dict.  The
+tables of g^-1 are the inverse permutations of those of g, so no inverse
+matrix is computed.  mat_mul remains for element_order.
+
 Field sizes are capped at p and p^2 for p <= 7 with fixed quadratic moduli,
 so results cannot drift with the choice of an irreducible polynomial.  Group
 enumeration is capped by ORACLE_CAP elements of the ambient GL/GU.
@@ -146,16 +155,12 @@ def mat_det(F: TinyField, a, n: int) -> int:
     if n == 2:
         return add[mul[a[0] * q + a[3]] * q + neg[mul[a[1] * q + a[2]]]]
     if n == 3:
-        total = 0
-        for j, sign in ((0, 1), (1, -1), (2, 1)):
-            cols = [c for c in range(3) if c != j]
-            minor = add[
-                mul[a[3 + cols[0]] * q + a[6 + cols[1]]] * q
-                + neg[mul[a[3 + cols[1]] * q + a[6 + cols[0]]]]
-            ]
-            term = mul[a[j] * q + minor]
-            total = add[total * q + (term if sign == 1 else neg[term])]
-        return total
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        m0 = add[mul[a4 * q + a8] * q + neg[mul[a5 * q + a7]]]
+        m1 = add[mul[a3 * q + a8] * q + neg[mul[a5 * q + a6]]]
+        m2 = add[mul[a3 * q + a7] * q + neg[mul[a4 * q + a6]]]
+        first = add[mul[a0 * q + m0] * q + neg[mul[a1 * q + m1]]]
+        return add[first * q + mul[a2 * q + m2]]
     raise UnsupportedModeError(f"determinant for n={n} not supported")
 
 
@@ -173,13 +178,13 @@ def group_order(kind: str, n: int, q: int) -> int:
     raise UnsupportedModeError(f"unknown group kind {kind!r}")
 
 
-def _enumerate_gl(F: TinyField, n: int) -> list[tuple[int, ...]]:
-    """Every invertible n x n matrix, in lexicographic order."""
-    return [
-        a
-        for a in itertools.product(range(F.q), repeat=n * n)
-        if mat_det(F, a, n) != 0
-    ]
+def _enumerate_gl(F: TinyField, n: int, special: bool) -> list[tuple[int, ...]]:
+    """Every invertible n x n matrix, or with special every matrix of
+    determinant one, in lexicographic order; one determinant per matrix."""
+    cells = itertools.product(range(F.q), repeat=n * n)
+    if special:
+        return [a for a in cells if mat_det(F, a, n) == 1]
+    return [a for a in cells if mat_det(F, a, n) != 0]
 
 
 def _herm(F: TinyField, u, v, n: int) -> int:
@@ -231,11 +236,11 @@ def enumerate_matrix_group(kind: str, n: int, q: int) -> tuple[TinyField, list]:
     """Enumerate the group as flat matrices; refuses beyond the caps."""
     F = _field_in_scope(kind, n, q)
     if kind in ("GL", "SL"):
-        elements = _enumerate_gl(F, n)
+        elements = _enumerate_gl(F, n, kind == "SL")
     else:
         elements = _enumerate_gu(F, n)
-    if kind in ("SL", "SU"):
-        elements = [a for a in elements if mat_det(F, a, n) == 1]
+        if kind == "SU":
+            elements = [a for a in elements if mat_det(F, a, n) == 1]
     if len(elements) != group_order(kind, n, q):
         raise InvariantViolationError(
             f"enumerated {len(elements)} elements of {kind}_{n}({q}), "
@@ -244,64 +249,144 @@ def enumerate_matrix_group(kind: str, n: int, q: int) -> tuple[TinyField, list]:
     return F, elements
 
 
-def _closure(F: TinyField, n: int, gens) -> set:
-    ident = mat_identity(n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = mat_mul(F, x, g, n)
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return seen
+class ElementIndex:
+    """The elements of one enumerated matrix group by their list index.
 
-def generating_set(F: TinyField, n: int, elements) -> list:
-    """Small deterministic generating set found greedily."""
+    Each matrix is read once as its row codes and its column codes, where a
+    code is a vector of F_q^n read as a base-q integer, first entry most
+    significant; two dicts map the codes back to indices.  Multiplying by a
+    fixed matrix g is then a lookup per row or column in a table over
+    F_q^n (row_table, column_table), and the tables of g^-1 are the inverse
+    permutations of those of g.  name labels the group in errors.
+    """
+
+    def __init__(self, F: TinyField, n: int, elements, name: str):
+        self.F = F
+        self.n = n
+        self.elements = elements
+        self.name = name
+        vectors = itertools.product(range(F.q), repeat=n)
+        code = {v: c for c, v in enumerate(vectors)}
+        row_codes = [[code[a[i : i + n]] for a in elements] for i in range(0, n * n, n)]
+        self.rows = list(zip(*row_codes))
+        self.cols = list(zip(*[[code[a[j::n]] for a in elements] for j in range(n)]))
+        self.by_rows = {r: i for i, r in enumerate(self.rows)}
+        self.by_cols = {c: i for i, c in enumerate(self.cols)}
+
+    def row_table(self, g) -> list[int]:
+        """T with T[v] = code(v g) for every row vector v, in code order:
+        the rows of x g are T at the rows of x."""
+        n = self.n
+        return _vector_table(self.F, n, [g[j::n] for j in range(n)])
+
+    def column_table(self, g) -> list[int]:
+        """S with S[v] = code(g v) for every column vector v, in code order:
+        the columns of g x are S at the columns of x."""
+        n = self.n
+        return _vector_table(self.F, n, [g[i : i + n] for i in range(0, n * n, n)])
+
+    def missing(self, codes, by_rows: bool) -> InvariantViolationError:
+        """The error for a product whose row (or column) codes are not
+        those of an element: the element list is not the group."""
+        q, n = self.F.q, self.n
+        digits = [[c // q ** (n - 1 - k) % q for k in range(n)] for c in codes]
+        if not by_rows:
+            digits = [list(col) for col in zip(*digits)]
+        matrix = tuple(d for row in digits for d in row)
+        return InvariantViolationError(
+            f"{self.name}: the product {matrix} is not among the "
+            f"{len(self.elements)} elements given"
+        )
+
+
+def _vector_table(F: TinyField, n: int, lines) -> list[int]:
+    """The code of (<v, line> for line in lines) for every v in F_q^n, in
+    code order; each dot product table grows by one coordinate at a time."""
+    q, mul, add = F.q, F.mul, F.add
+    table = [0] * q**n
+    for line in lines:
+        dots = [0]
+        for b in line:
+            products = [mul[a * q + b] for a in range(q)]
+            dots = [add[d * q + m] for d in dots for m in products]
+        table = [c * q + d for c, d in zip(table, dots)]
+    return table
+
+
+def _inverse_table(table: list[int]) -> list[int]:
+    inverse = [0] * len(table)
+    for v, w in enumerate(table):
+        inverse[w] = v
+    return inverse
+
+
+def generating_set(index: ElementIndex) -> list:
+    """Small deterministic generating set found greedily: each element not
+    yet in the closure joins it.  The closure grows by the old closure times
+    the new generator, then by each new element times every generator."""
+    rows, by_rows, elements = index.rows, index.by_rows, index.elements
+    q, n = index.F.q, index.n
+    inside = bytearray(len(rows))
     gens: list = []
-    closure = {mat_identity(n)}
-    for x in elements:
-        if len(closure) == len(elements):
-            break
-        if x not in closure:
-            gens.append(x)
-            closure = _closure(F, n, gens)
-    if len(closure) != len(elements):
-        raise InvariantViolationError("generating set closure mismatch")
+    tables: list[list[int]] = []
+    # Every KeyError below is a product missing from by_rows.  The rows of
+    # the identity are the unit vectors, of codes q^(n-1), ..., q, 1.
+    try:
+        members = [by_rows[tuple(q ** (n - 1 - i) for i in range(n))]]
+        inside[members[0]] = 1
+        for x in range(len(rows)):
+            if len(members) == len(rows):
+                break
+            if inside[x]:
+                continue
+            gens.append(elements[x])
+            tables.append(index.row_table(elements[x]))
+            frontier, step = members, tables[-1:]
+            while frontier:
+                fresh = []
+                for y in frontier:
+                    for table in step:
+                        z = by_rows[tuple(map(table.__getitem__, rows[y]))]
+                        if not inside[z]:
+                            inside[z] = 1
+                            fresh.append(z)
+                members.extend(fresh)
+                frontier, step = fresh, tables
+    except KeyError as err:
+        raise index.missing(err.args[0], by_rows=True) from None
+    if len(members) != len(rows):
+        raise InvariantViolationError(f"{index.name}: generating set closure mismatch")
     return gens
 
 
-def power_inverse(F: TinyField, n: int, g) -> tuple[int, ...]:
-    """The inverse of g as its last power before the identity, g**(k-1) for
-    g of order k."""
-    ident = mat_identity(n)
-    last, power = ident, g
-    while power != ident:
-        last, power = power, mat_mul(F, power, g, n)
-    return last
-
-
-def conjugacy_class_reps(F: TinyField, n: int, elements, gens) -> list:
-    """One representative per conjugacy class, in enumeration order."""
-    gen_pairs = [(g, power_inverse(F, n, g)) for g in gens]
-    unseen = set(elements)
+def conjugacy_class_reps(index: ElementIndex, gens) -> list:
+    """One representative per conjugacy class, in enumeration order: a
+    breadth-first search over indices by z = g y g^-1, with y g^-1 read from
+    the rows of y and g (y g^-1) from the columns of y g^-1."""
+    rows, cols, by_rows, by_cols = index.rows, index.cols, index.by_rows, index.by_cols
+    pairs = [(index.column_table(g), _inverse_table(index.row_table(g))) for g in gens]
+    seen = bytearray(len(rows))
     reps = []
-    for x in elements:
-        if x not in unseen:
+    for x in range(len(rows)):
+        if seen[x]:
             continue
-        reps.append(x)
-        unseen.discard(x)
+        reps.append(index.elements[x])
+        seen[x] = 1
         frontier = [x]
         while frontier:
             fresh = []
             for y in frontier:
-                for g, gi in gen_pairs:
-                    z = mat_mul(F, mat_mul(F, g, y, n), gi, n)
-                    if z in unseen:
-                        unseen.discard(z)
+                for left, right in pairs:
+                    try:
+                        w = by_rows[tuple(map(right.__getitem__, rows[y]))]
+                    except KeyError as err:
+                        raise index.missing(err.args[0], by_rows=True) from None
+                    try:
+                        z = by_cols[tuple(map(left.__getitem__, cols[w]))]
+                    except KeyError as err:
+                        raise index.missing(err.args[0], by_rows=False) from None
+                    if not seen[z]:
+                        seen[z] = 1
                         fresh.append(z)
             frontier = fresh
     return reps
@@ -323,8 +408,9 @@ def class_profile(kind: str, n: int, q: int) -> tuple[int, tuple[int, ...]]:
     once per group: neither depends on ell, so every ell of one group reads
     the same profile."""
     F, elements = enumerate_matrix_group(kind, n, q)
-    gens = generating_set(F, n, elements)
-    reps = conjugacy_class_reps(F, n, elements, gens)
+    index = ElementIndex(F, n, elements, f"{kind}_{n}({q})")
+    gens = generating_set(index)
+    reps = conjugacy_class_reps(index, gens)
     return len(elements), tuple(element_order(F, n, r) for r in reps)
 
 

@@ -143,11 +143,14 @@ def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, .
     """All twist orbits of ell'-labels of degree at most n, sorted canonically.
 
     Per denominator den, the orbits are the cosets num * <eq> of the units:
-    each unit num not yet met, ascending, is the least element of its coset,
-    which is then marked met.  The denominators and then the numerators
-    ascend, so the orbits come sorted by representative; den = 1 gives the
-    identity, num = 0.  Cached per instance: the blocks and the fixed-block
-    pass of symbols both run over it.
+    the multiples of each prime factor of den are struck out first, then
+    each numerator not yet met, ascending, is a unit and the least element
+    of its coset, which is then marked met.  The denominators and then the
+    numerators ascend, so the orbits come sorted by representative; den = 1
+    gives the identity, num = 0.  The prime factors of den are denominators
+    too (the denominators are the divisors of the moduli), so they are the
+    primes met so far that divide it.  Cached per instance: the blocks and
+    the fixed-block pass of symbols both run over it.
     """
     eq = params.eq
     dens: set[int] = set()
@@ -155,19 +158,26 @@ def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, .
         modulus = ell_prime_part(twist_modulus(d, params), params.ell)
         dens.update(_divisors(modulus))
     orbits: list[FrobeniusOrbit] = []
+    primes: list[int] = []
     for den in sorted(dens):
         powers = [1 % den]
         u = eq % den
         while u != powers[0]:
             powers.append(u)
             u = u * eq % den
+        factors = [p for p in primes if den % p == 0]
+        if den > 1 and not factors:
+            primes.append(den)
+            factors = [den]
         seen = bytearray(den)
-        for num in range(den):
-            if seen[num] or math.gcd(num, den) != 1:
-                continue
+        for p in factors:
+            seen[::p] = b"\x01" * len(range(0, den, p))
+        num = seen.find(0)
+        while num != -1:
             orbits.append(FrobeniusOrbit(RootLabel(den, num), len(powers)))
             for u in powers:
                 seen[num * u % den] = 1
+            num = seen.find(0, num + 1)
     return tuple(orbits)
 
 

@@ -180,9 +180,12 @@ def test_criterion_6_oracle_equivalence():
         record = cross_check(kind, n, q, ell)
         if not (record["pass"] and record["engine_count"] == expected == record["ell_regular"]):
             bad.append((kind, n, q, ell))
+    # Closed forms for the class numbers of the n = 3, q = 4 groups:
+    # q^3 - q for GL_3(q), and q^2 + q + 8 for SL_3(q) when 3 divides q - 1.
+    class_numbers = {("GL", 3, 4): 60, ("SL", 3, 4): 28}
     compared = 0
     slowest = 0.0
-    cells = [(n, q) for q in (2, 3, 4, 5) for n in (1, 2)] + [(3, 2), (3, 3)]
+    cells = [(n, q) for q in (2, 3, 4, 5) for n in (1, 2)] + [(3, 2), (3, 3), (3, 4)]
     for n, q in cells:
         for ell in (2, 3, 5, 7):
             for kind in ("GL", "SL", "GU", "SU"):
@@ -193,13 +196,14 @@ def test_criterion_6_oracle_equivalence():
                     continue
                 slowest = max(slowest, time.monotonic() - t0)
                 compared += 1
-                if not record["pass"]:
+                classes = class_numbers.get((kind, n, q), record["classes"])
+                if not record["pass"] or record["classes"] != classes:
                     bad.append((kind, n, q, ell))
     elapsed = time.monotonic() - start
     _verdict(
         6,
-        not bad and compared == 97,
-        f"3 named checks plus {compared} in-cap runs (n<=2, q<=5; n=3, q<=3) "
+        not bad and compared == 102,
+        f"3 named checks plus {compared} in-cap runs (n<=2, q<=5; n=3, q<=4) "
         "agree; "
         f"slowest run {slowest:.1f} s, total {elapsed:.0f} s"
         + (f"; failures {bad[:3]}" if bad else ""),

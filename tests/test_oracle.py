@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from blockweights.semisimple import center_elements
 from blockweights.symbols import kappa, z_act
 from blockweights.verify import run_instance
 from blockweights.oracle import (
+    ElementIndex,
     TinyField,
     conjugacy_class_reps,
     cross_check,
@@ -23,7 +25,6 @@ from blockweights.oracle import (
     mat_det,
     mat_identity,
     mat_mul,
-    power_inverse,
     tiny_field,
 )
 
@@ -50,6 +51,27 @@ def test_field_power():
             acc = F.mul[acc * 9 + a]
 
 
+def _codes(q: int, n: int, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reference row and column codes of a flat matrix: each row or column
+    read as a base-q integer, first entry most significant."""
+
+    def code(v):
+        return sum(x * q ** (n - 1 - k) for k, x in enumerate(v))
+
+    return (
+        tuple(code(a[i * n : i * n + n]) for i in range(n)),
+        tuple(code(a[j::n]) for j in range(n)),
+    )
+
+
+def _inverse_by_powers(F: TinyField, n: int, g):
+    """g^-1 as the last power of g before the identity."""
+    last, power = mat_identity(n), g
+    while power != mat_identity(n):
+        last, power = power, mat_mul(F, power, g, n)
+    return last
+
+
 def test_matrix_helpers():
     F = TinyField(5)
     eye = mat_identity(2)
@@ -58,22 +80,37 @@ def test_matrix_helpers():
     assert mat_mul(F, a, eye, 2) == a
     prod_det = mat_det(F, mat_mul(F, a, b, 2), 2)
     assert prod_det == F.mul[mat_det(F, a, 2) * 5 + mat_det(F, b, 2)]
-    # The inverse of conjugacy_class_reps is the last power before the
-    # identity: checked on every element of GL_2(3) and GU_2(2), and on a
-    # fixed sample of GL_3(q).
-    for kind, n, q in (("GL", 2, 3), ("GU", 2, 2)):
-        F, elements = enumerate_matrix_group(kind, n, q)
-        for g in elements:
-            assert mat_mul(F, g, power_inverse(F, n, g), n) == mat_identity(n)
+    # The vector tables of ElementIndex multiply as mat_mul does, x g by the
+    # rows of x and g x by its columns, and the inverse permutation of a
+    # table is the table of the inverse matrix: checked on every pair of
+    # elements of GL_2(3) and GU_2(2), and on a fixed sample of GL_3(q).
+    groups = [
+        enumerate_matrix_group(kind, n, q) + (n,)
+        for kind, n, q in (("GL", 2, 3), ("GU", 2, 2))
+    ]
     for q in (2, 3, 4, 5):
         F = tiny_field(q)
         rng = random.Random(f"inverse {q}")
-        checked = 0
-        while checked < 30:
+        sample: list = []
+        while len(sample) < 30:
             g = tuple(rng.randrange(q) for _ in range(9))
             if mat_det(F, g, 3):
-                assert mat_mul(F, g, power_inverse(F, 3, g), 3) == mat_identity(3)
-                checked += 1
+                sample.append(g)
+        groups.append((F, sample, 3))
+    for F, elements, n in groups:
+        index = ElementIndex(F, n, elements, "sample")
+        for i, g in enumerate(elements):
+            assert (index.rows[i], index.cols[i]) == _codes(F.q, n, g)
+            right, left = index.row_table(g), index.column_table(g)
+            for x in elements:
+                rows, cols = _codes(F.q, n, x)
+                xg_rows = _codes(F.q, n, mat_mul(F, x, g, n))[0]
+                gx_cols = _codes(F.q, n, mat_mul(F, g, x, n))[1]
+                assert tuple(right[r] for r in rows) == xg_rows
+                assert tuple(left[c] for c in cols) == gx_cols
+            inverse = _inverse_by_powers(F, n, g)
+            assert oracle._inverse_table(right) == index.row_table(inverse)
+            assert oracle._inverse_table(left) == index.column_table(inverse)
 
 
 def test_determinant_is_multiplicative():
@@ -150,23 +187,42 @@ def test_element_order_basics():
 def test_class_counts_known():
     for kind, n, q, classes in [("GL", 2, 3, 8), ("SL", 2, 5, 9), ("GU", 2, 2, 9), ("GL", 2, 5, 24)]:
         F, elems = enumerate_matrix_group(kind, n, q)
-        gens = generating_set(F, n, elems)
-        reps = conjugacy_class_reps(F, n, elems, gens)
+        index = ElementIndex(F, n, elems, f"{kind}_{n}({q})")
+        reps = conjugacy_class_reps(index, generating_set(index))
         assert len(reps) == classes
 
 
 def test_conjugacy_reps_are_deterministic():
     F, elems = enumerate_matrix_group("GU", 2, 2)
-    gens = generating_set(F, 2, elems)
-    first = conjugacy_class_reps(F, 2, elems, gens)
-    second = conjugacy_class_reps(F, 2, elems, generating_set(F, 2, elems))
+    index = ElementIndex(F, 2, elems, "GU_2(2)")
+    first = conjugacy_class_reps(index, generating_set(index))
+    again = ElementIndex(F, 2, elems, "GU_2(2)")
+    second = conjugacy_class_reps(again, generating_set(again))
     assert first == second
+
+
+def test_a_short_element_list_raises_naming_the_missing_product():
+    """With one element left out of the list, some product of listed
+    elements is the missing one: the closure and the conjugation search both
+    raise and name it, where a silent skip would count classes wrongly."""
+    F, elems = enumerate_matrix_group("GL", 2, 3)
+    gens = generating_set(ElementIndex(F, 2, elems, "GL_2(3)"))
+    short = ElementIndex(F, 2, elems[:5] + elems[6:], "GL_2(3)")
+    message = re.escape(f"GL_2(3): the product {elems[5]} is not among the 47 elements")
+    with pytest.raises(InvariantViolationError, match=message):
+        generating_set(short)
+    with pytest.raises(InvariantViolationError, match=message):
+        conjugacy_class_reps(short, gens)
+    for i, a in enumerate(short.elements):
+        for codes, by_rows in ((short.rows[i], True), (short.cols[i], False)):
+            assert f"product {a} is" in str(short.missing(codes, by_rows))
 
 
 def ell_regular_class_count(F: TinyField, n: int, elements, ell: int) -> tuple[int, int]:
     """Uncached reference: (class count, count of classes whose
     representative has order prime to ell), from the elements given."""
-    reps = conjugacy_class_reps(F, n, elements, generating_set(F, n, elements))
+    index = ElementIndex(F, n, elements, "reference")
+    reps = conjugacy_class_reps(index, generating_set(index))
     orders = [element_order(F, n, r) for r in reps]
     return len(orders), sum(1 for k in orders if k % ell != 0)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blockweights import semisimple
-from blockweights.arith import make_params, mult_order
+from blockweights.arith import ell_prime_part, make_params, mult_order
 from blockweights.errors import DomainError, InvariantViolationError
 from blockweights.semisimple import (
     IDENTITY,
@@ -232,6 +232,42 @@ def test_enumerated_orbits_are_twist_walks():
                         assert orb.size == mult_order(params.eq, orb.rep.den)
                         assert orb.size == len(walk)
                         assert orb.rep == min(walk)
+
+
+def _orbits_by_gcd(params):
+    """Reference enumeration: the units mod each denominator found by a gcd
+    test per numerator, each unit not yet met starting its twist orbit."""
+    dens = set()
+    for d in range(1, params.n + 1):
+        modulus = ell_prime_part(twist_modulus(d, params), params.ell)
+        dens.update(semisimple._divisors(modulus))
+    orbits = []
+    for den in sorted(dens):
+        met = set()
+        for num in range(den):
+            if num in met or math.gcd(num, den) != 1:
+                continue
+            walk = suborbit(RootLabel(den, num), 1, params.eq)
+            orbits.append(FrobeniusOrbit(RootLabel(den, num), len(walk)))
+            met.update(label.num for label in walk)
+    return tuple(orbits)
+
+
+def test_orbit_enumeration_sieve_matches_a_gcd_reference():
+    """Striking out the multiples of the prime factors of each denominator
+    finds the same units as a gcd test: the orbit tuple equals the reference
+    on every n <= 5 grid instance."""
+    compared = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for ell in (2, 3, 5, 7):
+            if q % ell == 0:
+                continue
+            for eps in (1, -1):
+                for n in range(1, 6):
+                    params = make_params(n=n, q=q, eps=eps, ell=ell)
+                    assert enumerate_ellprime_orbits(params) == _orbits_by_gcd(params)
+                    compared += 1
+    assert compared == 210
 
 
 def test_orbit_enumeration_per_degree_counts():
