@@ -6,7 +6,10 @@ eps*q mod N.  All arithmetic is exact integer arithmetic on (num, den) pairs.
 
 The twist orbits of denominator N are the cosets of the subgroup generated by
 eps*q in the units mod N, so all of them have ord_N(eps*q) elements, and an
-orbit is kept as its least element and that size.
+orbit is kept as its least element and that size.  One walk, twist_orbit,
+finds that pair from any element, for the twist and for its powers: it
+canonicalizes orbits, translates them by central elements, and gives the
+constraint suborbits of the block stabilizer count.
 """
 
 from __future__ import annotations
@@ -51,46 +54,44 @@ def root_label(num: int, den: int) -> RootLabel:
 class FrobeniusOrbit(NamedTuple):
     """A twist orbit: a coset k <eps q> of the units mod a denominator N,
     kept as (least element, size), where the size ord_N(eps q) is its degree.
-    suborbit(rep, 1, eq) walks its elements."""
+    twist_orbit(sigma, eq) finds it from any of its elements."""
 
     rep: RootLabel
     size: int
 
 
-def suborbit(sigma: RootLabel, d: int, eq: int) -> tuple[RootLabel, ...]:
-    """Iterates of the d-fold twist sigma -> sigma**(eq**d) starting at sigma.
+def twist_orbit(sigma: RootLabel, eq: int, d: int = 1) -> FrobeniusOrbit:
+    """The orbit of sigma under the d-fold twist sigma -> sigma**(eq**d), as
+    (least element, size); d = 1 gives the twist orbit of sigma.
 
-    Has deg(sigma) / gcd(d, deg(sigma)) elements; d = 1 walks the orbit.
-    The numerators are multiplied by u = eq**d mod den, a unit, so the walk
-    returns within den steps; one that does not raises.
+    The walk runs over the numerators alone, multiplying by u = eq**d mod
+    den, and builds a label only for the least one.  u is a unit, so the
+    walk returns to sigma within den steps; one that does not raises.
     """
     if d < 1:
         raise DomainError(f"step must be at least 1, got {d}")
-    den = sigma.den
+    den, start = sigma
     if math.gcd(eq, den) != 1:
         raise DomainError(f"denominator {den} is not coprime to {eq}")
     u = pow(eq, d, den)
-    elems = [sigma]
-    num = sigma.num * u % den
-    while num != sigma.num:
-        if len(elems) == den:
+    least = start
+    size = 1
+    num = start * u % den
+    while num != start:
+        if size == den:
             raise InvariantViolationError(
                 f"the twist walk from {sigma} did not return in {den} steps"
             )
-        elems.append(RootLabel(den, num))
+        if num < least:
+            least = num
+        size += 1
         num = num * u % den
-    return tuple(elems)
-
-
-@lru_cache(maxsize=None)
-def _orbit_of(sigma: RootLabel, eq: int) -> FrobeniusOrbit:
-    walk = suborbit(sigma, 1, eq)
-    return FrobeniusOrbit(min(walk), len(walk))
+    return FrobeniusOrbit(RootLabel(den, least), size)
 
 
 def orbit_of(sigma: RootLabel, params: InstanceParams) -> FrobeniusOrbit:
     """The twist orbit through sigma, canonicalized."""
-    return _orbit_of(sigma, params.eq)
+    return twist_orbit(sigma, params.eq)
 
 
 def center_act(z: RootLabel, sigma: RootLabel) -> RootLabel:
@@ -105,8 +106,7 @@ def translate_orbit(z: RootLabel, orbit: FrobeniusOrbit, eq: int) -> FrobeniusOr
     """The canonical z-translate of orbit; raises if the translation changes
     the orbit size.  It caches nothing, so a walk over every orbit of an
     instance keeps no entry per orbit."""
-    walk = suborbit(center_act(z, orbit.rep), 1, eq)
-    image = FrobeniusOrbit(min(walk), len(walk))
+    image = twist_orbit(center_act(z, orbit.rep), eq)
     if image.size != orbit.size:
         raise InvariantViolationError(
             f"central translation changed orbit size: {orbit.rep} -> {image.rep}"
@@ -149,8 +149,9 @@ def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, .
     numerators ascend, so the orbits come sorted by representative; den = 1
     gives the identity, num = 0.  The prime factors of den are denominators
     too (the denominators are the divisors of the moduli), so they are the
-    primes met so far that divide it.  Cached per instance: the blocks and
-    the fixed-block pass of symbols both run over it.
+    primes met so far that divide it.  Cached per instance: symbols runs its
+    block walk over these orbits, and its fixed-block pass walks their
+    center cycles and then runs the same block walk over those cycles.
     """
     eq = params.eq
     dens: set[int] = set()
@@ -203,6 +204,5 @@ def center_elements(params: InstanceParams) -> CenterGroup:
 
 def clear_orbit_caches() -> None:
     """Drop per-regime orbit caches; used between grid regimes to bound memory."""
-    _orbit_of.cache_clear()
     act_on_orbit.cache_clear()
     enumerate_ellprime_orbits.cache_clear()

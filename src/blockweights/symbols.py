@@ -39,8 +39,10 @@ The center acts on a block only where it fixes it.  The center is cyclic,
 so C1 != 1 exactly when the element 1/r of some prime order r fixes the
 block, and such a block is a union of <1/r>-cycles of orbits with one
 (m, core) along each cycle.  _block_stabilizers builds those blocks once per
-instance and finds their C1 by z_act; every other block has C1 = 1, so a
-block's record does not depend on the other blocks passed.  Over the blocks
+instance by the block walk of enumerate_block_symbols, run over the
+<1/r>-cycles in place of the orbits, and finds their C1 by z_act; every
+other block has C1 = 1, so a block's record does not depend on the other
+blocks passed.  Over the blocks
 of an instance the SL totals are counted by orbit-stabilizer as well: a
 block orbit has |Z| / |C1| members.
 """
@@ -75,13 +77,12 @@ from .semisimple import (
     IDENTITY,
     RootLabel,
     _divisors,
-    _orbit_of,
     act_on_orbit,
     center_act,
     center_elements,
     enumerate_ellprime_orbits,
-    suborbit,
     translate_orbit,
+    twist_orbit,
 )
 from .weights import (
     CoreFunction,
@@ -113,7 +114,7 @@ def _validate_orbit(orbit: FrobeniusOrbit, params: InstanceParams) -> None:
     den = orbit.rep.den
     if den % params.p == 0 or math.gcd(den, params.ell) != 1:
         raise DomainError(f"orbit denominator {den} is not prime to p*ell")
-    if _orbit_of(orbit.rep, params.eq) != orbit:
+    if twist_orbit(orbit.rep, params.eq) != orbit:
         raise DomainError(f"{orbit.rep} does not represent a canonical orbit")
 
 
@@ -252,40 +253,47 @@ def symbols_in_block(
     return tuple(out)
 
 
-def _blocks_after(orbits, candidates, table, last: int, budget: int, head):
-    """Yield, in sorted order, every block symbol that extends the triples
-    head by triples over orbits[i] with i > last, of total size budget
-    weighted by degree.  candidates[b] lists the indices of the orbits of
-    degree at most b."""
+def _blocks_after(items, slots, candidates, last: int, budget: int, head):
+    """Yield every tuple of triples (item, m, lam) that extends head by
+    triples over items[i] with i > last, where slots[i] = (weight, e),
+    m >= 1 and lam is an e-core of a partition of m, of total size budget:
+    weight times m summed.  They come ordered by i, then m, then lam, slot
+    by slot.  candidates[b] lists the indices of the items of weight at
+    most b."""
     idx = candidates[budget]
     for i in idx[bisect_right(idx, last) :]:
-        orb = orbits[i]
-        d = orb.size
-        for m in range(1, budget // d + 1):
-            rest = budget - d * m
-            if rest and candidates[rest][-1] <= i:
-                continue  # no orbit after orb fits in rest
+        item = items[i]
+        weight, e = slots[i]
+        for m in range(1, budget // weight + 1):
+            rest = budget - weight * m
+            if rest and not (candidates[rest] and candidates[rest][-1] > i):
+                continue  # no item after this one fits in rest
             # distinct_cores lists the cores descending
-            for lam in reversed(distinct_cores(m, table[d - 1])):
-                triples = head + ((orb, m, lam),)
+            for lam in reversed(distinct_cores(m, e)):
+                triples = head + ((item, m, lam),)
                 if rest:
                     yield from _blocks_after(
-                        orbits, candidates, table, i, rest, triples
+                        items, slots, candidates, i, rest, triples
                     )
                 else:
-                    yield BlockSymbol(triples)
+                    yield triples
+
+
+def _walk_blocks(items, slots, n: int):
+    """_blocks_after from the empty head over the whole budget n."""
+    candidates: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, (weight, _) in enumerate(slots):
+        for b in range(weight, n + 1):
+            candidates[b].append(i)
+    return _blocks_after(items, slots, candidates, -1, n, ())
 
 
 def _sorted_blocks(orbits, params: InstanceParams) -> tuple[BlockSymbol, ...]:
-    """Every block symbol over the sorted orbits, sorted: _blocks_after from
-    the empty head over the whole budget n."""
-    candidates: list[list[int]] = [[] for _ in range(params.n + 1)]
-    for i, orb in enumerate(orbits):
-        for b in range(orb.size, params.n + 1):
-            candidates[b].append(i)
-    return tuple(
-        _blocks_after(orbits, candidates, params.e_gamma_table, -1, params.n, ())
-    )
+    """Every block symbol over the sorted orbits, sorted: the block walk with
+    weight the degree of each orbit and e = e_gamma of it."""
+    table = params.e_gamma_table
+    slots = [(orb.size, table[orb.size - 1]) for orb in orbits]
+    return tuple(map(BlockSymbol, _walk_blocks(orbits, slots, params.n)))
 
 
 def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
@@ -326,10 +334,11 @@ def _suborbit_step(deg: int, m: int, lam_size: int, params: InstanceParams):
     return 2
 
 
-@lru_cache(maxsize=None)
 def _z_fixes_cycle(z: RootLabel, rep: RootLabel, step: int, eq: int) -> bool:
-    elems = frozenset(suborbit(rep, step, eq))
-    return frozenset(center_act(z, x) for x in elems) == elems
+    """Whether z fixes the constraint suborbit through rep, its orbit under
+    the step-fold twist, setwise.  z is twist-fixed, as q - eps divides
+    eq - 1, so it maps that suborbit onto the one through z rep."""
+    return twist_orbit(center_act(z, rep), eq, step) == twist_orbit(rep, eq, step)
 
 
 def _block_steps(block: BlockSymbol, params: InstanceParams):
@@ -354,29 +363,6 @@ def kappa_block(block: BlockSymbol, params: InstanceParams) -> int:
 # <z>-cycles of orbits with one (m, lam) on all the orbits of a cycle.
 
 
-def _fixed_blocks_after(cycles, candidates, table, last: int, budget: int, head):
-    """Yield every block that extends the triples head by one slot (orbit,
-    m, lam) on each orbit of cycles[i], with the same (m, lam) along the
-    cycle, over cycles with i > last, of total size budget weighted by
-    degree.  candidates[b] lists the indices of the cycles whose length
-    times degree is at most b."""
-    idx = candidates[budget]
-    for i in idx[bisect_right(idx, last) :]:
-        cycle = cycles[i]
-        d = cycle[0].size
-        weight = d * len(cycle)
-        for m in range(1, budget // weight + 1):
-            rest = budget - weight * m
-            for lam in distinct_cores(m, table[d - 1]):
-                triples = head + tuple((orb, m, lam) for orb in cycle)
-                if rest:
-                    yield from _fixed_blocks_after(
-                        cycles, candidates, table, i, rest, triples
-                    )
-                else:
-                    yield BlockSymbol(tuple(sorted(triples)))
-
-
 @lru_cache(maxsize=None)
 def _block_stabilizers(
     params: InstanceParams,
@@ -390,8 +376,10 @@ def _block_stabilizers(
     As every central element is a power of g, every z keeps the size of
     every orbit.  1/r = g**(|Z| / r) moves a cycle of length L by
     |Z| / r mod L places, which splits it into its <1/r>-cycles.  The
-    blocks over them fixed by 1/r come from _fixed_blocks_after, and only
-    on those z_act finds C1.
+    blocks fixed by 1/r come from the block walk over those cycles, each of
+    weight its length times its degree: a slot (cycle, m, lam) puts
+    (orbit, m, lam) on every orbit of the cycle.  Only on those blocks z_act
+    finds C1.
     """
     center = center_elements(params)
     order = center.order
@@ -429,12 +417,13 @@ def _block_stabilizers(
     zs_rest = center.elements[1:]
     stabilizers: dict[BlockSymbol, tuple[RootLabel, ...]] = {}
     for r, found in cycles.items():
-        candidates: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, cycle in enumerate(found):
-            for b in range(cycle[0].size * len(cycle), n + 1):
-                candidates[b].append(i)
+        slots = [
+            (cycle[0].size * len(cycle), table[cycle[0].size - 1]) for cycle in found
+        ]
         z = RootLabel(r, 1)
-        for block in _fixed_blocks_after(found, candidates, table, -1, n, ()):
+        for slot_triples in _walk_blocks(found, slots, n):
+            triples = [(orb, m, lam) for cycle, m, lam in slot_triples for orb in cycle]
+            block = BlockSymbol(tuple(sorted(triples)))
             if block in stabilizers:
                 continue
             c1_rest = tuple(y for y in zs_rest if z_act(y, block, params) == block)
@@ -664,7 +653,10 @@ def block_counts(blocks, params: InstanceParams):
     label lies in C1.  When C1 = 1, every label stabilizer is 1 and
     kappa_b = 1: the squared stabilizer sums are the list lengths,
     kappa_divisibility and bijection_kappa_preserved hold, and no label is
-    built.  A block with C1 != 1 scans its labels under C1:
+    built.  Otherwise kappa_b counts the z in C1 that fix every constraint
+    suborbit of the block, each compared by one twist_orbit walk with its
+    z-translate (_z_fixes_cycle).  A block with C1 != 1 scans its labels
+    under C1:
 
     * kappa_divisibility asks that kappa_b divide the stabilizer order of
       every symbol and weight symbol of the block.
@@ -802,6 +794,5 @@ def block_to_jsonable(sym: BlockSymbol) -> list[dict]:
 
 def clear_symbol_caches() -> None:
     """Drop per-regime caches; used between grid regimes to bound memory."""
-    _z_fixes_cycle.cache_clear()
     _slot_counts.cache_clear()
     _block_stabilizers.cache_clear()

@@ -1,8 +1,39 @@
 """Helpers that only the tests call: whole-instance symbol lists and
-retained grid reports, both built from the streaming library entry points."""
+retained grid reports, both built from the streaming library entry points,
+the reference twist walk, and the instances the references run on."""
 
+import math
+
+from blockweights.arith import make_params
+from blockweights.semisimple import RootLabel
 from blockweights.symbols import enumerate_block_symbols, symbols_in_block
 from blockweights.verify import iter_grid, report_order
+
+# Centers of order 4, 3, 5, 10 and 2; in the last, some center orbits meet
+# a block in more than one label.
+REFERENCE_INSTANCES = (
+    make_params(n=2, q=5, eps=1, ell=3),
+    make_params(n=2, q=2, eps=-1, ell=5),
+    make_params(n=3, q=4, eps=-1, ell=3),
+    make_params(n=2, q=9, eps=-1, ell=7),
+    make_params(n=4, q=5, eps=-1, ell=3),
+)
+
+
+def suborbit(sigma, d, eq):
+    """Reference walk: the iterates of the d-fold twist sigma ->
+    sigma**(eq**d) starting at sigma, as labels in walk order.  Has
+    deg(sigma) / gcd(d, deg(sigma)) elements; d = 1 walks the orbit."""
+    den = sigma.den
+    assert d >= 1 and math.gcd(eq, den) == 1
+    u = pow(eq, d, den)
+    elems = [sigma]
+    num = sigma.num * u % den
+    while num != sigma.num:
+        assert len(elems) < den
+        elems.append(RootLabel(den, num))
+        num = num * u % den
+    return tuple(elems)
 
 
 def enumerate_admissible_symbols(params):

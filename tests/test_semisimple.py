@@ -17,9 +17,11 @@ from blockweights.semisimple import (
     enumerate_ellprime_orbits,
     orbit_of,
     root_label,
-    suborbit,
     twist_modulus,
+    twist_orbit,
 )
+
+from helpers import REFERENCE_INSTANCES, suborbit
 
 GL25_L3 = make_params(n=2, q=5, eps=1, ell=3)
 GU2_L5 = make_params(n=2, q=2, eps=-1, ell=5)
@@ -136,23 +138,42 @@ def test_suborbit_known():
     assert suborbit(root_label(1, 9), 3, params9.eq) == (root_label(1, 9),)
 
 
+def test_twist_orbit_matches_the_reference_walk():
+    """twist_orbit(sigma, eq, d) is the least element and the length of the
+    reference walk of the d-fold twist, for every element sigma of every
+    orbit and every d in 1..n, on the reference instances."""
+    compared = 0
+    for params in REFERENCE_INSTANCES:
+        for orb in enumerate_ellprime_orbits(params):
+            for sigma in suborbit(orb.rep, 1, params.eq):
+                for d in range(1, params.n + 1):
+                    walk = suborbit(sigma, d, params.eq)
+                    expected = FrobeniusOrbit(min(walk), len(walk))
+                    assert twist_orbit(sigma, params.eq, d) == expected
+                    compared += 1
+    assert compared > 100
+
+
 def test_suborbit_refuses_a_denominator_not_prime_to_eq():
-    """As orbit_of does; the twist step is no permutation of such labels, so
-    the walk would never return."""
+    """twist_orbit, and orbit_of through it, refuse such a denominator: the
+    twist step is no permutation of its labels, so the walk would never
+    return.  A step below 1 is refused too."""
     params = make_params(n=1, q=4, eps=1, ell=3)
     with pytest.raises(DomainError):
         orbit_of(root_label(1, 2), params)
-    with pytest.raises(DomainError):
-        suborbit(root_label(1, 2), 1, params.eq)
+    with pytest.raises(DomainError, match="not coprime"):
+        twist_orbit(root_label(1, 2), params.eq)
+    with pytest.raises(DomainError, match="step must be at least 1"):
+        twist_orbit(root_label(1, 3), params.eq, 0)
 
 
 def test_suborbit_walk_is_bounded_by_its_denominator(monkeypatch):
-    """With the coprimality check bypassed, the walk from 1/2 under eq = 4
-    falls to 0/2 and stays there; it stops after den steps and raises
-    instead of hanging."""
+    """With the coprimality check of twist_orbit bypassed, the walk from 1/2
+    under eq = 4 falls to 0/2 and stays there; it stops after den steps and
+    raises instead of hanging."""
     monkeypatch.setattr(semisimple, "math", types.SimpleNamespace(gcd=lambda a, b: 1))
     with pytest.raises(InvariantViolationError, match="did not return in 2 steps"):
-        suborbit(root_label(1, 2), 1, 4)
+        twist_orbit(root_label(1, 2), 4)
 
 
 def test_suborbit_size_formula():
