@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .oracle import cross_check
-from .verify import iter_grid, report_order, reports_to_csv, reports_to_json
+from .verify import iter_grid, reports_to_csv, reports_to_json
 
 
 # The most values one --n, --q or --ell list may hold.  A range is measured
@@ -163,7 +163,6 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             reports.append(report)
-        reports.sort(key=report_order)
         text = (
             reports_to_json(reports)
             if args.format == "json"

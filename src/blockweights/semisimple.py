@@ -115,7 +115,8 @@ def translate_orbit(z: RootLabel, orbit: FrobeniusOrbit, eq: int) -> FrobeniusOr
 
 
 # translate_orbit cached for block translations, which meet the same
-# (z, orbit) again and again.
+# (z, orbit) again and again.  The key (z, orbit, eq) names no instance, so
+# all instances with the same eq share its entries; it is never cleared.
 act_on_orbit = lru_cache(maxsize=None)(translate_orbit)
 
 
@@ -138,7 +139,7 @@ def twist_modulus(d: int, params: InstanceParams) -> int:
     return abs(params.eq**d - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, ...]:
     """All twist orbits of ell'-labels of degree at most n, sorted canonically.
 
@@ -149,9 +150,10 @@ def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, .
     numerators ascend, so the orbits come sorted by representative; den = 1
     gives the identity, num = 0.  The prime factors of den are denominators
     too (the denominators are the divisors of the moduli), so they are the
-    primes met so far that divide it.  Cached per instance: symbols runs its
-    block walk over these orbits, and its fixed-block pass walks their
-    center cycles and then runs the same block walk over those cycles.
+    primes met so far that divide it.  Cached for the last instance only:
+    symbols runs its block walk over these orbits, and its fixed-block pass
+    walks their center cycles and then runs the same block walk over those
+    cycles, both for one instance; the next instance replaces the entry.
     """
     eq = params.eq
     dens: set[int] = set()
@@ -201,8 +203,3 @@ def center_elements(params: InstanceParams) -> CenterGroup:
     """The ell'-part of the center of GL_n(eps q), of order (q - eps)_ell'."""
     return _center_elements(params.q, params.eps, params.ell)
 
-
-def clear_orbit_caches() -> None:
-    """Drop per-regime orbit caches; used between grid regimes to bound memory."""
-    act_on_orbit.cache_clear()
-    enumerate_ellprime_orbits.cache_clear()

@@ -363,7 +363,7 @@ def kappa_block(block: BlockSymbol, params: InstanceParams) -> int:
 # <z>-cycles of orbits with one (m, lam) on all the orbits of a cycle.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _block_stabilizers(
     params: InstanceParams,
 ) -> dict[BlockSymbol, tuple[RootLabel, ...]]:
@@ -379,7 +379,8 @@ def _block_stabilizers(
     blocks fixed by 1/r come from the block walk over those cycles, each of
     weight its length times its degree: a slot (cycle, m, lam) puts
     (orbit, m, lam) on every orbit of the cycle.  Only on those blocks z_act
-    finds C1.
+    finds C1.  Cached for the last instance only: block_counts looks the map
+    up at every block of one instance, and the next instance replaces it.
     """
     center = center_elements(params)
     order = center.order
@@ -590,6 +591,8 @@ def _slot_counts(m: int, e: int, lam: Partition, ell: int):
     (bijection_block_preserved); validate_core_function must accept f, and
     raises DomainError as from_weight_symbol does when it does not; and
     _brauer_partition must bring f back to mu (bijection_roundtrip).
+    The key holds no instance, so every instance shares the cache, which
+    is never cleared: the n <= 6 grid has 105 slot shapes.
     """
     w = (m - sum(lam)) // e
     mus = enumerate_with_core(m, e, lam)
@@ -791,8 +794,3 @@ def block_to_jsonable(sym: BlockSymbol) -> list[dict]:
         for orb, m, lam in sym.triples
     ]
 
-
-def clear_symbol_caches() -> None:
-    """Drop per-regime caches; used between grid regimes to bound memory."""
-    _slot_counts.cache_clear()
-    _block_stabilizers.cache_clear()

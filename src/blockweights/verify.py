@@ -51,13 +51,12 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .arith import InstanceParams
-from .semisimple import center_elements, clear_orbit_caches
+from .semisimple import center_elements
 from .symbols import (
     BlockCounts,
     BlockSymbol,
     block_counts,
     block_to_jsonable,
-    clear_symbol_caches,
     enumerate_block_symbols,
     sl_refusal,
     unipotent_blocks,
@@ -164,23 +163,14 @@ def run_instance(
 
 
 def iter_grid(param_list, unipotent_only: bool = False):
-    """Yield one report per instance, grouped by (q, eps, ell) regime with
-    caches cleared between regimes.  Streaming: callers that only need the
-    check flags can drop each report before the next is built."""
-    by_regime: dict = {}
-    for params in param_list:
-        by_regime.setdefault((params.q, params.eps, params.ell), []).append(params)
-    for regime in sorted(by_regime):
-        for params in sorted(by_regime[regime], key=lambda t: t.n):
-            yield run_instance(params, unipotent_only)
-        clear_orbit_caches()
-        clear_symbol_caches()
-
-
-def report_order(report: InstanceReport) -> tuple[int, int, int, int]:
-    """Sort key of the reports of a grid: (n, q, eps, ell)."""
-    p = report.params
-    return (p.n, p.q, p.eps, p.ell)
+    """Yield one report per instance in (n, q, eps, ell) order, the order in
+    which the reports are written.  Streaming: callers that only need the
+    check flags can drop each report before the next is built.  A cache
+    keyed by the parameters of an instance keeps the current instance only;
+    those keyed by slot shape or by orbit translation are shared by all
+    instances and never cleared."""
+    for params in sorted(param_list, key=lambda p: (p.n, p.q, p.eps, p.ell)):
+        yield run_instance(params, unipotent_only)
 
 
 # The JSON layout of a report: keys in sorted order at indent 2, ints written

@@ -1,13 +1,15 @@
 """Helpers that only the tests call: whole-instance symbol lists and
 retained grid reports, both built from the streaming library entry points,
-the reference twist walk, and the instances the references run on."""
+the reference twist walk, the instances the references run on, and a reset
+of the symbol caches for tests that plant faults under them."""
 
 import math
 
+from blockweights import symbols
 from blockweights.arith import make_params
 from blockweights.semisimple import RootLabel
 from blockweights.symbols import enumerate_block_symbols, symbols_in_block
-from blockweights.verify import iter_grid, report_order
+from blockweights.verify import iter_grid
 
 # Centers of order 4, 3, 5, 10 and 2; in the last, some center orbits meet
 # a block in more than one label.
@@ -47,6 +49,19 @@ def enumerate_admissible_symbols(params):
 
 
 def run_grid(param_list, unipotent_only=False):
-    """All grid reports in report_order; retains every row, so keep the grid
-    at desk scale."""
-    return tuple(sorted(iter_grid(param_list, unipotent_only), key=report_order))
+    """All grid reports, in the (n, q, eps, ell) order iter_grid yields;
+    retains every row, so keep the grid at desk scale."""
+    return tuple(iter_grid(param_list, unipotent_only))
+
+
+def report_order(report):
+    """The (n, q, eps, ell) key of a report."""
+    p = report.params
+    return (p.n, p.q, p.eps, p.ell)
+
+
+def clear_symbol_caches():
+    """Drop what _slot_counts and _block_stabilizers hold, so that code
+    planted under them, or undone, is run again."""
+    symbols._slot_counts.cache_clear()
+    symbols._block_stabilizers.cache_clear()

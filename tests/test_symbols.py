@@ -48,7 +48,12 @@ from blockweights.symbols import (
 )
 from blockweights.verify import run_instance
 
-from helpers import REFERENCE_INSTANCES, enumerate_admissible_symbols, suborbit
+from helpers import (
+    REFERENCE_INSTANCES,
+    clear_symbol_caches,
+    enumerate_admissible_symbols,
+    suborbit,
+)
 
 P25, PU22 = REFERENCE_INSTANCES[:2]
 
@@ -590,7 +595,7 @@ def test_block_counts_follow_the_input_order_and_subset():
     for params in REFERENCE_INSTANCES:
         blocks = enumerate_block_symbols(params)
         unipotent = unipotent_blocks(params)
-        symbols.clear_symbol_caches()
+        clear_symbol_caches()
         assert list(block_counts(unipotent, params)) == list(
             block_counts(unipotent[::-1], params)
         )[::-1]
@@ -599,7 +604,7 @@ def test_block_counts_follow_the_input_order_and_subset():
             results = list(block_counts(given, params))
             assert results == [swept[b] for b in given]
         for b in blocks:
-            symbols.clear_symbol_caches()
+            clear_symbol_caches()
             (alone,) = block_counts((b,), params)
             assert alone == swept[b]
 
@@ -678,12 +683,12 @@ def test_planted_size_changing_translate_raises(monkeypatch):
             return image._replace(size=image.size + 1)
         return image
 
-    symbols.clear_symbol_caches()
+    clear_symbol_caches()
     monkeypatch.setattr(symbols, "translate_orbit", wrong_size)
     with pytest.raises(InvariantViolationError, match="changed orbit size"):
         run_instance(params)
     monkeypatch.undo()
-    symbols.clear_symbol_caches()
+    clear_symbol_caches()
     assert run_instance(params).all_passed
 
 
@@ -812,11 +817,11 @@ def plant(monkeypatch):
 
     def setattr_(*args):
         monkeypatch.setattr(*args)
-        symbols.clear_symbol_caches()
+        clear_symbol_caches()
 
     yield setattr_
     monkeypatch.undo()
-    symbols.clear_symbol_caches()
+    clear_symbol_caches()
 
 
 # Blocks of P25 whose stabilizer C1 in the center has order 1 and 2.
@@ -897,7 +902,7 @@ def test_gl_check_sees_a_planted_fault(check, monkeypatch, plant):
         assert check in counts.failed
         assert run_instance(P25).checks[check] is False
         monkeypatch.undo()
-        symbols.clear_symbol_caches()
+        clear_symbol_caches()
 
 
 def _rows_with_a_remainder(fault, real_block_counts):

@@ -12,22 +12,22 @@ import time
 import pytest
 
 import blockweights
-from blockweights import cli, verify
+from blockweights import cli, symbols, verify
 from blockweights.arith import make_params, prime_power_decomposition
 from blockweights.errors import ConfigurationError, InvariantViolationError
 from blockweights.partitions import enumerate_partitions
+from blockweights.semisimple import enumerate_ellprime_orbits
 from blockweights.symbols import block_to_jsonable
 from blockweights.weights import count_core_functions, enumerate_core_functions
 from blockweights.verify import (
     InstanceReport,
     iter_grid,
-    report_order,
     reports_to_csv,
     reports_to_json,
     run_instance,
 )
 
-from helpers import run_grid
+from helpers import report_order, run_grid
 
 WORKED = make_params(n=2, q=5, eps=1, ell=3)
 
@@ -234,19 +234,48 @@ def test_csv_shape():
     assert reports_to_csv(reports) == text
 
 
-def test_grid_runner_orders_and_streams():
-    grid = [
-        make_params(n=1, q=3, eps=-1, ell=2),
-        make_params(n=2, q=2, eps=-1, ell=5),
-        make_params(n=1, q=2, eps=1, ell=3),
-    ]
-    reports = run_grid(grid)
-    keys = [(r.params.n, r.params.q, r.params.eps, r.params.ell) for r in reports]
-    assert keys == sorted(keys)
-    streamed = sorted(iter_grid(grid), key=report_order)
-    assert [report_order(r) for r in streamed] == keys
-    assert reports_to_json(reports) == reports_to_json(streamed)
+# Out of order, over four (q, eps, ell) regimes and both signs.
+UNSORTED_GRID = [
+    make_params(n=2, q=2, eps=-1, ell=5),
+    make_params(n=1, q=3, eps=1, ell=2),
+    make_params(n=2, q=2, eps=1, ell=3),
+    make_params(n=1, q=3, eps=-1, ell=2),
+    make_params(n=1, q=2, eps=1, ell=3),
+]
 
+
+def test_grid_runner_orders_and_streams(monkeypatch):
+    """iter_grid yields in (n, q, eps, ell) order whatever the input order,
+    and builds each report only when it is asked for."""
+    order = [report_order(r) for r in iter_grid(UNSORTED_GRID)]
+    assert order == [
+        (1, 2, 1, 3),
+        (1, 3, -1, 2),
+        (1, 3, 1, 2),
+        (2, 2, -1, 5),
+        (2, 2, 1, 3),
+    ]
+    built = []
+    real_run_instance = verify.run_instance
+
+    def counted(params, *args):
+        built.append(params)
+        return real_run_instance(params, *args)
+
+    monkeypatch.setattr(verify, "run_instance", counted)
+    stream = iter_grid(UNSORTED_GRID)
+    assert report_order(next(stream)) == (1, 2, 1, 3) and len(built) == 1
+    assert [report_order(r) for r in stream] == order[1:] and len(built) == 5
+
+
+def test_grid_sweep_keeps_one_instance_cached():
+    """After a sweep over several regimes, the caches keyed by an instance
+    hold that instance only: the orbits of the last one, and the stabilizer
+    map of the last one that built it."""
+    for _ in iter_grid(UNSORTED_GRID):
+        pass
+    assert enumerate_ellprime_orbits.cache_info().currsize == 1
+    assert symbols._block_stabilizers.cache_info().currsize <= 1
 
 
 def test_grid_report_bytes_are_pinned():
@@ -519,7 +548,7 @@ def test_cli_verify_out_to_a_named_pipe(tmp_path, capsys):
 
 def test_cli_verify_prints_verdicts_before_the_report(monkeypatch, capsys):
     """Each verdict line is on stderr before the report is serialized, and
-    the report is written in report_order whatever order the sweep took."""
+    the verdict lines and the report both come in (n, q, eps, ell) order."""
     argv = ["verify", "--n", "1..2", "--q", "3,5", "--eps", "+1,-1", "--ell", "2"]
     seen = []
 
@@ -533,8 +562,12 @@ def test_cli_verify_prints_verdicts_before_the_report(monkeypatch, capsys):
     assert rc == 0
     [(err, order)] = seen
     assert len(order) == 8 and order == sorted(order)
-    verdicts = [line for line in err.splitlines() if line.startswith("ok:")]
-    assert len(verdicts) == 8
+    verdicts = [
+        tuple(int(field.split("=")[1]) for field in line.split()[1:5])
+        for line in err.splitlines()
+        if line.startswith("ok:")
+    ]
+    assert verdicts == order
     assert not any(line.startswith(("ok:", "FAIL:")) for line in out.err.splitlines())
     assert out.out == reports_to_json(run_grid([make_params(*k) for k in order]))
 
