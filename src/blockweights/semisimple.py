@@ -104,8 +104,9 @@ def center_act(z: RootLabel, sigma: RootLabel) -> RootLabel:
 
 def translate_orbit(z: RootLabel, orbit: FrobeniusOrbit, eq: int) -> FrobeniusOrbit:
     """The canonical z-translate of orbit; raises if the translation changes
-    the orbit size.  It caches nothing, so a walk over every orbit of an
-    instance keeps no entry per orbit."""
+    the orbit size.  It caches nothing: the fixed-block pass walks the
+    <z>-cycles of the orbits of an instance that z moves and that are small
+    enough to lie in a z-fixed block, once each."""
     image = twist_orbit(center_act(z, orbit.rep), eq)
     if image.size != orbit.size:
         raise InvariantViolationError(
@@ -152,8 +153,8 @@ def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, .
     too (the denominators are the divisors of the moduli), so they are the
     primes met so far that divide it.  Cached for the last instance only:
     symbols runs its block walk over these orbits, and its fixed-block pass
-    walks their center cycles and then runs the same block walk over those
-    cycles, both for one instance; the next instance replaces the entry.
+    reads them per denominator and runs the same block walk over cycles of
+    them, both for one instance; the next instance replaces the entry.
     """
     eq = params.eq
     dens: set[int] = set()

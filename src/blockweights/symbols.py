@@ -18,33 +18,41 @@ translates the orbit of each entry and re-sorts.
 Each quantity of the descent to SL_n(eps q) is implemented here, once:
 sl_refusal decides whether the SL counts cover an instance; _stabilizer
 gives the stabilizer order of a label under a given set of central
-elements (kappa_ellprime, kappa_weight use the whole center); block_counts,
-the per-block kernel, gives kappa_b = |C1 intersect C2|, the per-SL-block
-restriction sums with their divisibility and the bijection checks
-(kappa_block, sl_block_report).
+elements (kappa_ellprime, kappa_weight use the whole center); the per-block
+kernel gives kappa_b = |C1 intersect C2|, the per-SL-block restriction sums
+with their divisibility and the bijection checks.  block_counts runs it on
+any blocks (kappa_block, sl_block_report read it for one), and
+walk_block_counts on the blocks of the block walk, for verify.run_instance.
 
 The labels of a block are products over its slots (orbit, m, core), so the
-kernel counts and checks the GL side once per slot shape (_slot_counts).  A
-central element outside the block stabilizer C1 moves every label of a
-block into another block, so where C1 is trivial every label stabilizer is
-1 and the kernel builds no label; it scans the labels of the other blocks
-under C1 only.  Every sum over orbits is counted by orbit-stabilizer: a
-label with stabilizer order k lies in an orbit of |G| / k labels, so summing
-k^2 / |G| over all labels adds k once per orbit.  Per block G is C1, whose orbits are
-where the center orbits meet the block, and the sums are the per-SL-block
-counts; over the blocks of an instance G is the center, and the symbol sum
-is the number of Brauer characters of SL_n(eps q).
+GL side is counted and checked once per slot shape (_slot_counts), and a
+block's GL record is the fold (_fold) of its slots' records.  The block walk
+_blocks_after folds each slot in as it extends a head, so each block comes
+out of the walk with its record; block_counts folds the slots of a block
+it is given with the same step.  A central element outside the block
+stabilizer C1 moves every label of a block into another block, so where C1
+is trivial every label stabilizer is 1 and the kernel builds no label; it
+scans the labels of the other blocks under C1 only.  Every sum over orbits
+is counted by orbit-stabilizer: a label with stabilizer order k lies in an
+orbit of |G| / k labels, so summing k^2 / |G| over all labels adds k once
+per orbit.  Per block G is C1, whose orbits are where the center orbits
+meet the block, and the sums are the per-SL-block counts; over the blocks
+of an instance G is the center, and the symbol sum is the number of Brauer
+characters of SL_n(eps q).
 
-The center acts on a block only where it fixes it.  The center is cyclic,
-so C1 != 1 exactly when the element 1/r of some prime order r fixes the
-block, and such a block is a union of <1/r>-cycles of orbits with one
-(m, core) along each cycle.  _block_stabilizers builds those blocks once per
-instance by the block walk of enumerate_block_symbols, run over the
-<1/r>-cycles in place of the orbits, and finds their C1 by z_act; every
+The center Z acts on orbits by translation, which commutes with the twist
+because |Z| divides eq - 1 (_twist_fixed_center checks it), so it keeps
+orbit sizes.  It acts on a block only where it fixes it.  Z is cyclic, so
+C1 != 1 exactly when the element 1/r of some prime order r fixes the block,
+and such a block is a union of <1/r>-cycles of orbits with one (m, core)
+along each cycle.  The stabilizer of an orbit in Z depends on its
+denominator alone, so _block_stabilizers finds the orbits 1/r fixes once
+per denominator, walks the <1/r>-cycles of the few orbits of degree at
+most n / r that it moves, runs the block walk over those cycles, and finds
+C1 on the blocks it yields by z_act at the prime powers dividing |Z|; every
 other block has C1 = 1, so a block's record does not depend on the other
-blocks passed.  Over the blocks
-of an instance the SL totals are counted by orbit-stabilizer as well: a
-block orbit has |Z| / |C1| members.
+blocks passed.  Over the blocks of an instance the SL totals are counted by
+orbit-stabilizer as well: a block orbit has |Z| / |C1| members.
 """
 
 from __future__ import annotations
@@ -253,13 +261,18 @@ def symbols_in_block(
     return tuple(out)
 
 
-def _blocks_after(items, slots, candidates, last: int, budget: int, head):
+def _blocks_after(items, slots, candidates, last: int, budget: int, head, record, ell):
     """Yield every tuple of triples (item, m, lam) that extends head by
     triples over items[i] with i > last, where slots[i] = (weight, e),
     m >= 1 and lam is an e-core of a partition of m, of total size budget:
     weight times m summed.  They come ordered by i, then m, then lam, slot
     by slot.  candidates[b] lists the indices of the items of weight at
-    most b."""
+    most b.
+
+    Each tuple comes with its GL record: record, the record of head, with
+    the record _slot_counts(m, e, lam, ell) of each triple added folded in
+    by _fold, once per triple as the walk takes it, so a head shared by
+    many tuples is folded once."""
     idx = candidates[budget]
     for i in idx[bisect_right(idx, last) :]:
         item = items[i]
@@ -268,32 +281,34 @@ def _blocks_after(items, slots, candidates, last: int, budget: int, head):
             rest = budget - weight * m
             if rest and not (candidates[rest] and candidates[rest][-1] > i):
                 continue  # no item after this one fits in rest
-            # distinct_cores lists the cores descending
-            for lam in reversed(distinct_cores(m, e)):
+            for lam, slot in _slot_records(m, e, ell):
                 triples = head + ((item, m, lam),)
+                extended = _fold(record, slot)
                 if rest:
                     yield from _blocks_after(
-                        items, slots, candidates, i, rest, triples
+                        items, slots, candidates, i, rest, triples, extended, ell
                     )
                 else:
-                    yield triples
+                    yield triples, extended
 
 
-def _walk_blocks(items, slots, n: int):
-    """_blocks_after from the empty head over the whole budget n."""
+def _walk_blocks(items, slots, n: int, ell: int):
+    """_blocks_after from the empty head and record over the whole budget
+    n."""
     candidates: list[list[int]] = [[] for _ in range(n + 1)]
     for i, (weight, _) in enumerate(slots):
         for b in range(weight, n + 1):
             candidates[b].append(i)
-    return _blocks_after(items, slots, candidates, -1, n, ())
+    return _blocks_after(items, slots, candidates, -1, n, (), _NO_SLOT, ell)
 
 
-def _sorted_blocks(orbits, params: InstanceParams) -> tuple[BlockSymbol, ...]:
-    """Every block symbol over the sorted orbits, sorted: the block walk with
-    weight the degree of each orbit and e = e_gamma of it."""
+def _orbit_walk(orbits, params: InstanceParams):
+    """The block walk over the sorted orbits, with weight the degree of each
+    orbit and e = e_gamma of it: the triples of every block symbol over
+    them, sorted, each with its GL record."""
     table = params.e_gamma_table
     slots = [(orb.size, table[orb.size - 1]) for orb in orbits]
-    return tuple(map(BlockSymbol, _walk_blocks(orbits, slots, params.n)))
+    return _walk_blocks(orbits, slots, params.n, params.ell)
 
 
 def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
@@ -307,17 +322,12 @@ def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
     same way.  Each block is one path of that walk, so it comes once, and
     the blocks need no sort.
     """
-    return _sorted_blocks(enumerate_ellprime_orbits(params), params)
+    orbits = enumerate_ellprime_orbits(params)
+    return tuple(BlockSymbol(triples) for triples, _ in _orbit_walk(orbits, params))
 
 
 # The orbit of the unipotent blocks.
 IDENTITY_ORBIT = FrobeniusOrbit(IDENTITY, 1)
-
-
-def unipotent_blocks(params: InstanceParams) -> tuple[BlockSymbol, ...]:
-    """The blocks of the identity orbit alone, sorted: one per e-core of a
-    partition of n, with e = e_gamma(1)."""
-    return _sorted_blocks((IDENTITY_ORBIT,), params)
 
 
 # Suborbit constraints and the block stabilizer count.
@@ -363,26 +373,81 @@ def kappa_block(block: BlockSymbol, params: InstanceParams) -> int:
 # <z>-cycles of orbits with one (m, lam) on all the orbits of a cycle.
 
 
+def _center_stabilizer_order(den: int, size: int, eq: int, order: int) -> int:
+    """s(N): the order of the stabilizer, in the center Z of order `order`,
+    of each twist orbit of denominator N = den and degree size.
+
+    z + a/N lies in the orbit of a/N when it is a eq**k / N for some k < size,
+    that is z = a (eq**k - 1) / N mod 1.  That is an element of Z, the
+    multiples of 1 / |Z|, exactly when N divides a (eq**k - 1) |Z|, or
+    (eq**k - 1) |Z| as a is a unit mod N, and distinct k give distinct z.
+    So s(N) counts the k < size with N | (eq**k - 1) |Z|, whatever a is."""
+    count = 0
+    power = 1 % den
+    for _ in range(size):
+        if (power - 1) * order % den == 0:
+            count += 1
+        power = power * eq % den
+    return count
+
+
+def _twist_fixed_center(params: InstanceParams):
+    """The ell'-part Z of the center, checked to be fixed by the twist.
+
+    |Z| divides q - eps, which divides eq - 1, so eq z = z for every z in Z:
+    translating by z commutes with the twist, and maps the twist orbit of
+    sigma onto that of z sigma, of the same size.  That identity stands in
+    for a size check at every orbit; it is checked here, once per kernel
+    run and per stabilizer map, and a center it fails for raises."""
+    center = center_elements(params)
+    if (params.eq - 1) % center.order:
+        raise InvariantViolationError(
+            f"the center of order {center.order} is not fixed by the twist by"
+            f" {params.eq}"
+        )
+    return center
+
+
+def _c1_order(block: BlockSymbol, primes, order: int, params: InstanceParams) -> int:
+    """|C1| of a block: C1 is the subgroup of the cyclic center, of order
+    `order`, whose p-part for each prime p is p**k for the largest k with
+    1/p**k fixing the block, as 1/p**j fixes it for every j <= k."""
+    c1 = 1
+    for p in primes:
+        power = p
+        while order % power == 0 and z_act(RootLabel(power, 1), block, params) == block:
+            c1 *= p
+            power *= p
+    return c1
+
+
 @lru_cache(maxsize=1)
 def _block_stabilizers(
     params: InstanceParams,
 ) -> dict[BlockSymbol, tuple[RootLabel, ...]]:
     """Map every block of the instance whose stabilizer C1 in the center is
-    nontrivial to C1 without the identity.  Absent blocks have C1 = 1.
+    nontrivial to C1 without the identity, in the center's order.  Absent
+    blocks have C1 = 1.
 
-    With g = 1/|Z| it walks the <g>-cycle through each orbit by
-    translate_orbit, which raises if a translate has another size than the
-    orbit; the walk raises if the cycle does not close within |Z| steps.
-    As every central element is a power of g, every z keeps the size of
-    every orbit.  1/r = g**(|Z| / r) moves a cycle of length L by
-    |Z| / r mod L places, which splits it into its <1/r>-cycles.  The
-    blocks fixed by 1/r come from the block walk over those cycles, each of
-    weight its length times its degree: a slot (cycle, m, lam) puts
-    (orbit, m, lam) on every orbit of the cycle.  Only on those blocks z_act
-    finds C1.  Cached for the last instance only: block_counts looks the map
-    up at every block of one instance, and the next instance replaces it.
+    The center comes from _twist_fixed_center, so translating by a central
+    element maps twist orbits onto twist orbits of the same size, and the
+    <1/r>-cycles below are cycles of orbits.
+
+    The stabilizer of an orbit in the cyclic Z is its subgroup of order
+    s(N) (_center_stabilizer_order), computed once per denominator N, so
+    1/r fixes the orbit exactly when r divides s(N); such an orbit is a
+    one-orbit <1/r>-cycle.  An orbit that 1/r moves lies on a <1/r>-cycle
+    of r orbits, which a block fixed by 1/r holds whole, so only those of
+    degree at most n / r can be in one: translate_orbit walks their cycles,
+    checking the size of every translate and that the cycle closes after
+    exactly r steps.  The blocks fixed by 1/r come from the block walk over
+    the <1/r>-cycles, each of weight its length times its degree: a slot
+    (cycle, m, lam) puts (orbit, m, lam) on every orbit of the cycle.  Only
+    on those blocks z_act finds C1, by _c1_order.  Cached for the last
+    instance only: block_counts looks the map up at every block of one
+    instance, and the next instance replaces it.
     """
-    center = center_elements(params)
+    center = _twist_fixed_center(params)
     order = center.order
     if order == 1:
         return {}
@@ -390,30 +455,28 @@ def _block_stabilizers(
     n = params.n
     primes = [r for r in _divisors(order) if is_prime(r)]
     cycles: dict[int, list] = {r: [] for r in primes}
-    g = RootLabel(order, 1)
-    seen: set = set()
+    walked: set = set()
+    den = stab = 0
     for orb in enumerate_ellprime_orbits(params):
-        if orb in seen:
-            continue
-        walk = [orb]
-        while True:
-            image = translate_orbit(g, walk[-1], eq)
-            if image == orb:
-                break
-            walk.append(image)
-            if len(walk) > order:
-                raise InvariantViolationError(
-                    f"the center orbit of {orb.rep} has more than {order} members"
-                )
-        seen.update(walk)
-        length = len(walk)
+        if orb.rep.den != den:
+            den = orb.rep.den
+            stab = _center_stabilizer_order(den, orb.size, eq, order)
         for r in primes:
-            if order // r % length == 0:
-                # 1/r fixes every orbit of the cycle.
-                cycles[r].extend((x,) for x in walk)
-            elif orb.size * r <= n:
-                span = length // r
-                cycles[r].extend(tuple(walk[i::span]) for i in range(span))
+            if stab % r == 0:
+                cycles[r].append((orb,))
+            elif orb.size * r <= n and (r, orb) not in walked:
+                z = RootLabel(r, 1)
+                cycle = [orb]
+                image = translate_orbit(z, orb, eq)
+                while image != orb and len(cycle) < r:
+                    cycle.append(image)
+                    image = translate_orbit(z, image, eq)
+                if image != orb or len(cycle) != r:
+                    raise InvariantViolationError(
+                        f"the <{z}>-cycle of {orb.rep} does not have {r} orbits"
+                    )
+                walked.update((r, x) for x in cycle)
+                cycles[r].append(tuple(cycle))
     table = params.e_gamma_table
     zs_rest = center.elements[1:]
     stabilizers: dict[BlockSymbol, tuple[RootLabel, ...]] = {}
@@ -421,18 +484,18 @@ def _block_stabilizers(
         slots = [
             (cycle[0].size * len(cycle), table[cycle[0].size - 1]) for cycle in found
         ]
-        z = RootLabel(r, 1)
-        for slot_triples in _walk_blocks(found, slots, n):
+        for slot_triples, _ in _walk_blocks(found, slots, n, params.ell):
             triples = [(orb, m, lam) for cycle, m, lam in slot_triples for orb in cycle]
             block = BlockSymbol(tuple(sorted(triples)))
             if block in stabilizers:
                 continue
-            c1_rest = tuple(y for y in zs_rest if z_act(y, block, params) == block)
-            if z not in c1_rest:
+            c1 = _c1_order(block, primes, order, params)
+            if c1 % r:
                 raise InvariantViolationError(
-                    f"z_act does not fix block {block_to_jsonable(block)} under {z}"
+                    f"z_act does not fix block {block_to_jsonable(block)} under 1/{r}"
                 )
-            stabilizers[block] = c1_rest
+            # C1 is the subgroup of order c1, the z whose denominator divides c1.
+            stabilizers[block] = tuple(y for y in zs_rest if c1 % y.den == 0)
     return stabilizers
 
 
@@ -616,9 +679,42 @@ def _slot_counts(m: int, e: int, lam: Partition, ell: int):
     )
 
 
+@lru_cache(maxsize=None)
+def _slot_records(m: int, e: int, ell: int):
+    """(lam, _slot_counts(m, e, lam, ell)) for every e-core lam of a
+    partition of m, lam ascending: the slots the block walk takes at (m, e).
+    Shared by every instance and never cleared, as _slot_counts is."""
+    # distinct_cores lists the cores descending
+    return tuple(
+        (lam, _slot_counts(m, e, lam, ell)) for lam in reversed(distinct_cores(m, e))
+    )
+
+
+# The GL record of a block, as _slot_counts gives that of one slot: the
+# closed-form symbol and weight counts, the lengths of the two lists and the
+# names of the failed checks.  _NO_SLOT is the record of no slot.
+_NO_SLOT = (1, 1, 1, 1, frozenset())
+
+
+def _fold(record, slot):
+    """A block's record extended by the record of one more slot: the counts
+    and lengths multiplied, the failed names united.  The block walk and
+    block_counts fold with this one step."""
+    nsym, nwt, listed_sym, listed_wt, failed = record
+    slot_sym, slot_wt, slot_listed_sym, slot_listed_wt, slot_failed = slot
+    return (
+        nsym * slot_sym,
+        nwt * slot_wt,
+        listed_sym * slot_listed_sym,
+        listed_wt * slot_listed_wt,
+        failed | slot_failed if slot_failed else failed,
+    )
+
+
 def block_counts(blocks, params: InstanceParams):
     """Yield one BlockCounts per block, in order: count, restrict to SL and
-    check each block.
+    check each block.  Each block's GL record is folded from its slots by
+    _fold, the step the block walk folds with (walk_block_counts).
 
     A block's C1 is looked up in the map of _block_stabilizers for the
     instance and nowhere else, so its record does not depend on the blocks
@@ -673,44 +769,62 @@ def block_counts(blocks, params: InstanceParams):
     each entry of s and keeps its partition, so by the product lemma to(z s)
     and z to(s) have the same entries, except that one reads e at the size
     of z orb and the other at that of orb; both sort their entries by the
-    distinct orbits.  _block_stabilizers walks the center cycle of every
-    orbit of the instance under the generator 1/|Z| and raises if an orbit
-    on it has another size.  Every z is a power of the generator, so no z
-    changes the size of an orbit of a block passed, and to(z s) == z to(s)
-    on them all (test_symbols::test_to_weight_symbol_commutes_with_z_act
-    checks it at every z and every symbol of every block).  On a unipotent
-    block the orbit of z has size 1, as the identity orbit: q - eps divides
-    eq - 1, so the twist fixes z.
+    distinct orbits.  Those sizes are equal: |Z| divides eq - 1, so the
+    twist fixes every z, translating by z commutes with the twist, and the
+    translate of a twist orbit is a twist orbit of the same size.  The
+    kernel checks that identity once per run (_twist_fixed_center), and
+    raises where it fails; so to(z s) == z to(s) at every z on every block
+    passed (test_symbols::test_to_weight_symbol_commutes_with_z_act checks
+    it at every z and every symbol of every block).  On a unipotent block
+    the orbit of z has size 1, as the identity orbit, by the same identity.
 
     The per-SL-block sums are counted by orbit-stabilizer in C1 and divided
     by |C1| kappa_b; a remainder fails sl_blockwise_awc.
     """
-    eq = params.eq
-    ell = params.ell
     table = params.e_gamma_table
-    zs_rest = center_elements(params).elements[1:]
+    ell = params.ell
+
+    def counted():
+        for block in blocks:
+            record = _NO_SLOT
+            for orb, m, lam in block.triples:
+                record = _fold(record, _slot_counts(m, table[orb.size - 1], lam, ell))
+            yield block.triples, record
+
+    return _kernel(counted(), params)
+
+
+def walk_block_counts(orbits, params: InstanceParams):
+    """Yield one BlockCounts per block over the given sorted orbits of the
+    instance, all of them or the identity orbit alone, in sorted order: the
+    records block_counts gives those blocks, each block's GL record carried
+    by the block walk that builds it (_orbit_walk)."""
+    return _kernel(_orbit_walk(orbits, params), params)
+
+
+def _kernel(counted, params: InstanceParams):
+    """The body of block_counts, from the triples of each block with its GL
+    record: the GL checks of the record, C1 and kappa_b, the label scan
+    where C1 != 1 and the SL divisions."""
+    eq = params.eq
+    zs_rest = _twist_fixed_center(params).elements[1:]
     stabilizers = None
-    for block in blocks:
-        failed: set[str] = set()
-        nsym = nwt = listed_sym = listed_wt = 1
-        for orb, m, lam in block.triples:
-            slot_sym, slot_wt, slot_listed_sym, slot_listed_wt, slot_failed = (
-                _slot_counts(m, table[orb.size - 1], lam, ell)
-            )
-            nsym *= slot_sym
-            nwt *= slot_wt
-            listed_sym *= slot_listed_sym
-            listed_wt *= slot_listed_wt
-            failed |= slot_failed
+    # The named tuples are built by tuple.__new__, as their _make builds
+    # them, without the Python-level __new__ they have: on the per-block
+    # path that call costs as much as the rest of building the tuple.
+    new = tuple.__new__
+    for triples, (nsym, nwt, listed_sym, listed_wt, slot_failed) in counted:
+        block = new(BlockSymbol, (triples,))
+        failed = set(slot_failed)
         if nsym != nwt:
             failed.add("gl_blockwise_awc")
-        if (listed_sym, listed_wt) != (nsym, nwt):
+        if listed_sym != nsym or listed_wt != nwt:
             failed.add("counts_match")
         # kappa_b = |C1 intersect C2|: C1 is the setwise stabilizer of the
         # block in the center, C2 the elements that fix every constraint
         # suborbit of it.  The triples are sorted, so the block is
         # unipotent when its last orbit is the identity.
-        if block.triples[-1][0] == IDENTITY_ORBIT:
+        if triples[-1][0] == IDENTITY_ORBIT:
             c1_rest = ()
         else:
             if stabilizers is None:
@@ -763,9 +877,12 @@ def block_counts(blocks, params: InstanceParams):
         sl_weights, wt_rem = divmod(wt_sq_sum, per_sl_block)
         if ibr_rem or wt_rem or sl_ibr != sl_weights:
             failed.add("sl_blockwise_awc")
-        yield BlockCounts(
-            block, nsym, nwt, kappa_b, c1_order, sl_ibr, sl_weights, stab_sq_sum,
-            tuple(sorted(failed)),
+        yield new(
+            BlockCounts,
+            (
+                block, nsym, nwt, kappa_b, c1_order, sl_ibr, sl_weights,
+                stab_sq_sum, tuple(sorted(failed)) if failed else (),
+            ),
         )
 
 

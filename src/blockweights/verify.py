@@ -1,10 +1,11 @@
 """Instance level verification runs and deterministic report emission.
 
-run_instance runs the per-block kernel symbols.block_counts on every block of
-one (n, q, eps, ell) instance and keeps its records, one symbols.BlockCounts
-per block, as the report rows: the Brauer character count, the weight count,
-the center stabilizer data and the per-SL-block counts.  With them comes a
-dictionary of named equality checks:
+run_instance runs the per-block kernel, through symbols.walk_block_counts, on
+every block of one (n, q, eps, ell) instance as the block walk builds it, and
+keeps its records, one symbols.BlockCounts per block, as the report rows: the
+Brauer character count, the weight count, the center stabilizer data and the
+per-SL-block counts; they equal the records symbols.block_counts gives the
+enumerated blocks.  With them comes a dictionary of named equality checks:
 
 * gl_blockwise_awc: per block, #Brauer characters == #weight classes;
 * counts_match: closed form counts agree with explicit enumerations;
@@ -15,8 +16,10 @@ dictionary of named equality checks:
   checked by label only on the blocks whose stabilizer C1 in the center is
   nontrivial, which the blocks fixed by the central elements of prime order
   give, equivariance at every symbol of each; on the others they follow
-  from the slot structure and from a check that the center keeps the size
-  of every orbit;
+  from the slot structure and from the identity that the order of the
+  center divides eq - 1, so that translating by a central element keeps
+  the size of every twist orbit, which the kernel checks once per
+  instance;
 * kappa_divisibility, sl_blockwise_awc, sl_global_consistency: the SL-level
   counts, run only when symbols.sl_refusal admits the instance (ell odd and
   prime to gcd(n, q - eps)); the rows of a refused instance carry the
@@ -51,15 +54,13 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .arith import InstanceParams
-from .semisimple import center_elements
+from .semisimple import center_elements, enumerate_ellprime_orbits
 from .symbols import (
+    IDENTITY_ORBIT,
     BlockCounts,
     BlockSymbol,
-    block_counts,
-    block_to_jsonable,
-    enumerate_block_symbols,
     sl_refusal,
-    unipotent_blocks,
+    walk_block_counts,
 )
 
 REFUSAL_FILTERED = "unipotent-only run"
@@ -106,10 +107,10 @@ def run_instance(
     try:
         if unipotent_only:
             refusal = REFUSAL_FILTERED
-            blocks = unipotent_blocks(params)
+            orbits = (IDENTITY_ORBIT,)
         else:
             refusal = sl_refusal(params)
-            blocks = enumerate_block_symbols(params)
+            orbits = enumerate_ellprime_orbits(params)
         admitted = refusal is None
         checks = dict.fromkeys(
             GL_CHECKS + (SL_BLOCK_CHECKS if admitted else ()), True
@@ -121,7 +122,7 @@ def run_instance(
         covered_sum = 0
         covered_ibr_sum = 0
         stab_sq_total = 0
-        for row in block_counts(blocks, params):
+        for row in walk_block_counts(orbits, params):
             for name in row.failed:
                 if name in checks:
                     checks[name] = False
@@ -225,20 +226,26 @@ _REPORT_TAIL = (
 )
 
 
-def _label_json(block: BlockSymbol, triple_json: dict) -> str:
+def _triple_texts(block: BlockSymbol, memo: dict, write) -> list[str]:
+    """The text of each triple of a block, written by write(orb, m, lam) the
+    first time a report meets the triple and then kept in memo: the blocks
+    of an instance share most of their triples."""
     items = []
     for triple in block.triples:
-        text = triple_json.get(triple)
+        text = memo.get(triple)
         if text is None:
-            orb, m, lam = triple
-            text = triple_json[triple] = _TRIPLE % (
-                orb.size,
-                _json_array([str(part) for part in lam], " " * 12),
-                m,
-                encode_basestring_ascii(str(orb.rep)),
-            )
+            text = memo[triple] = write(*triple)
         items.append(text)
-    return _json_array(items, " " * 8)
+    return items
+
+
+def _triple_json(orb, m: int, lam) -> str:
+    return _TRIPLE % (
+        orb.size,
+        _json_array([str(part) for part in lam], " " * 12),
+        m,
+        encode_basestring_ascii(str(orb.rep)),
+    )
 
 
 def _report_parts(report: InstanceReport):
@@ -247,7 +254,6 @@ def _report_parts(report: InstanceReport):
     p = report.params
     refusal = report.totals["sl_refused"]
     refused = _SL_REFUSED % json.dumps(refusal)
-    # The blocks of an instance share most of their triples.
     triple_json: dict = {}
     yield '{\n    "blocks": ['
     sep = "\n      "
@@ -256,7 +262,8 @@ def _report_parts(report: InstanceReport):
             sl_text = _SL % (row.kappa_b, row.sl_ibr, row.sl_weights)
         else:
             sl_text = refused
-        label = _label_json(row.block, triple_json)
+        triples = _triple_texts(row.block, triple_json, _triple_json)
+        label = _json_array(triples, " " * 8)
         yield _BLOCK % (sep, row.ibr, row.kappa_b, label, sl_text, row.weights)
         sep = ",\n      "
     yield "\n    ]" if report.rows else "]"
@@ -295,6 +302,21 @@ CSV_FIELDS = (
 )
 
 
+# The label of a CSV row is the compact JSON text of
+# json.dumps(block_to_jsonable(block), separators=(",", ":"), sort_keys=True),
+# written out by hand as the JSON report's labels are.
+_TRIPLE_CSV = '{"deg":%d,"lambda":[%s],"m":%d,"orbit":%s}'
+
+
+def _triple_csv(orb, m: int, lam) -> str:
+    return _TRIPLE_CSV % (
+        orb.size,
+        ",".join([str(part) for part in lam]),
+        m,
+        encode_basestring_ascii(str(orb.rep)),
+    )
+
+
 def reports_to_csv(reports) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -302,10 +324,10 @@ def reports_to_csv(reports) -> str:
     for report in reports:
         p = report.params
         refusal = report.totals["sl_refused"]
+        triple_csv: dict = {}
         for row in report.rows:
-            label = json.dumps(
-                block_to_jsonable(row.block), separators=(",", ":"), sort_keys=True
-            )
+            triples = _triple_texts(row.block, triple_csv, _triple_csv)
+            label = "[" + ",".join(triples) + "]"
             if refusal is None:
                 sl_cols = (row.kappa_b, row.sl_ibr, row.sl_weights, "")
             else:

@@ -1,14 +1,25 @@
 """Helpers that only the tests call: whole-instance symbol lists and
 retained grid reports, both built from the streaming library entry points,
-the reference twist walk, the instances the references run on, and a reset
-of the symbol caches for tests that plant faults under them."""
+the reference twist walk and center-cycle walk, the instances the
+references run on, and a reset of the symbol caches for tests that plant
+faults under them."""
 
 import math
 
 from blockweights import symbols
-from blockweights.arith import make_params
-from blockweights.semisimple import RootLabel
-from blockweights.symbols import enumerate_block_symbols, symbols_in_block
+from blockweights.arith import is_prime, make_params
+from blockweights.semisimple import (
+    RootLabel,
+    center_elements,
+    enumerate_ellprime_orbits,
+    translate_orbit,
+)
+from blockweights.symbols import (
+    IDENTITY_ORBIT,
+    enumerate_block_symbols,
+    symbols_in_block,
+    walk_block_counts,
+)
 from blockweights.verify import iter_grid
 
 # Centers of order 4, 3, 5, 10 and 2; in the last, some center orbits meet
@@ -38,6 +49,74 @@ def suborbit(sigma, d, eq):
     return tuple(elems)
 
 
+def center_cycles(params):
+    """Reference: the cycle of every twist orbit of the instance under the
+    generator g = 1/|Z| of the center, walked by translate_orbit, which
+    raises if a translate has another size.  Maps each orbit to its cycle,
+    which starts at its least orbit."""
+    order = center_elements(params).order
+    g = RootLabel(order, 1)
+    cycles = {}
+    for orb in enumerate_ellprime_orbits(params):
+        if orb in cycles:
+            continue
+        walk = [orb]
+        while True:
+            image = translate_orbit(g, walk[-1], params.eq)
+            if image == orb:
+                break
+            walk.append(image)
+            assert len(walk) <= order
+        walk = tuple(walk)
+        cycles.update(dict.fromkeys(walk, walk))
+    return cycles
+
+
+def reference_block_stabilizers(params):
+    """Reference: the fixed-block pass from the center cycle of every orbit.
+    1/r = g**(|Z| / r) moves a cycle of length L by |Z| / r mod L places: it
+    fixes every orbit of the cycle when L divides |Z| / r, and otherwise
+    splits the cycle into L / r cycles of r orbits.  The blocks fixed by 1/r
+    come from the block walk over those cycles, and C1 from z_act at every
+    nontrivial central element."""
+    center = center_elements(params)
+    order = center.order
+    if order == 1:
+        return {}
+    primes = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    cycles = {r: [] for r in primes}
+    for orb, walk in center_cycles(params).items():
+        if walk[0] != orb:
+            continue
+        length = len(walk)
+        for r in primes:
+            if order // r % length == 0:
+                cycles[r].extend((x,) for x in walk)
+            elif orb.size * r <= params.n:
+                span = length // r
+                cycles[r].extend(tuple(walk[i::span]) for i in range(span))
+    table = params.e_gamma_table
+    stabilizers = {}
+    for found in cycles.values():
+        slots = [(c[0].size * len(c), table[c[0].size - 1]) for c in found]
+        for slot_triples, _ in symbols._walk_blocks(found, slots, params.n, params.ell):
+            triples = [(orb, m, lam) for cycle, m, lam in slot_triples for orb in cycle]
+            block = symbols.BlockSymbol(tuple(sorted(triples)))
+            stabilizers[block] = tuple(
+                z
+                for z in center.elements[1:]
+                if symbols.z_act(z, block, params) == block
+            )
+    return stabilizers
+
+
+def unipotent_blocks(params):
+    """The blocks of the identity orbit alone, sorted, as the unipotent-only
+    path of run_instance walks them: one per e-core of a partition of n,
+    with e = e_gamma(1)."""
+    return tuple(row.block for row in walk_block_counts((IDENTITY_ORBIT,), params))
+
+
 def enumerate_admissible_symbols(params):
     """All admissible symbols of the instance, grouped from their blocks,
     sorted."""
@@ -61,7 +140,8 @@ def report_order(report):
 
 
 def clear_symbol_caches():
-    """Drop what _slot_counts and _block_stabilizers hold, so that code
-    planted under them, or undone, is run again."""
+    """Drop what _slot_counts, _slot_records and _block_stabilizers hold, so
+    that code planted under them, or undone, is run again."""
     symbols._slot_counts.cache_clear()
+    symbols._slot_records.cache_clear()
     symbols._block_stabilizers.cache_clear()

@@ -41,7 +41,6 @@ from blockweights.symbols import (
     sl_refusal,
     symbols_in_block,
     to_weight_symbol,
-    unipotent_blocks,
     weight_symbol,
     weight_symbols_in_block,
     z_act,
@@ -50,9 +49,12 @@ from blockweights.verify import run_instance
 
 from helpers import (
     REFERENCE_INSTANCES,
+    center_cycles,
     clear_symbol_caches,
     enumerate_admissible_symbols,
+    reference_block_stabilizers,
     suborbit,
+    unipotent_blocks,
 )
 
 P25, PU22 = REFERENCE_INSTANCES[:2]
@@ -612,17 +614,24 @@ def test_block_counts_follow_the_input_order_and_subset():
 def test_block_walk_skips_a_budget_with_no_candidate():
     """Two items of weight 2 leave budgets 1 and 3 with no candidate, as the
     <1/r>-cycles of the fixed-block pass can: an odd n yields nothing and
-    raises no IndexError, and n = 4 yields exactly the sorted blocks."""
+    raises no IndexError, and n = 4 yields exactly the sorted blocks, each
+    with the record of its slots folded."""
     slots = [(2, 5), (2, 5)]
-    assert list(symbols._walk_blocks(["a", "b"], slots, 3)) == []
-    assert list(symbols._walk_blocks(["a", "b"], slots, 5)) == []
-    assert list(symbols._walk_blocks(["a", "b"], slots, 4)) == [
+    assert list(symbols._walk_blocks(["a", "b"], slots, 3, 7)) == []
+    assert list(symbols._walk_blocks(["a", "b"], slots, 5, 7)) == []
+    walked = list(symbols._walk_blocks(["a", "b"], slots, 4, 7))
+    assert [triples for triples, _ in walked] == [
         (("a", 1, (1,)), ("b", 1, (1,))),
         (("a", 2, (1, 1)),),
         (("a", 2, (2,)),),
         (("b", 2, (1, 1)),),
         (("b", 2, (2,)),),
     ]
+    for triples, record in walked:
+        folded = symbols._NO_SLOT
+        for _, m, lam in triples:
+            folded = symbols._fold(folded, symbols._slot_counts(m, 5, lam, 7))
+        assert record == folded
 
 
 def test_fixed_block_pass_finds_every_nontrivial_stabilizer():
@@ -670,26 +679,141 @@ def test_fixed_block_pass_satisfies_burnside():
     assert nontrivial
 
 
+@pytest.mark.slow
+def test_fixed_block_pass_matches_the_center_cycle_walk(monkeypatch):
+    """On every n <= 6 grid instance: s(N) of each orbit is |Z| over the
+    length of its center cycle, walked by the reference; the stabilizer map
+    is the reference's, which walks every center cycle and scans C1 at
+    every central element; and the pass translates only orbits of degree at
+    most n / r that 1/r moves, so none of degree above n / 2."""
+    translated = []
+    real_translate = symbols.translate_orbit
+
+    def spy(z, orbit, eq):
+        translated.append((z, orbit))
+        return real_translate(z, orbit, eq)
+
+    monkeypatch.setattr(symbols, "translate_orbit", spy)
+    nontrivial = 0
+    for params in grid_params((1, 2, 3, 4, 5, 6)):
+        order = center_elements(params).order
+        cycles = center_cycles(params)
+        for orb, cycle in cycles.items():
+            stab = symbols._center_stabilizer_order(
+                orb.rep.den, orb.size, params.eq, order
+            )
+            assert stab * len(cycle) == order
+        translated.clear()
+        clear_symbol_caches()
+        found = symbols._block_stabilizers(params)
+        assert found == reference_block_stabilizers(params)
+        for z, orbit in translated:
+            assert z.num == 1 and orbit.size * z.den <= params.n
+            assert order // z.den % len(cycles[orbit])
+        nontrivial += bool(translated)
+    assert nontrivial
+
+
 def test_planted_size_changing_translate_raises(monkeypatch):
-    """A translate that changes the size of one orbit makes run_instance
-    raise."""
+    """A translate that changes the size of an orbit that the fixed-block
+    pass walks, of degree at most n / r and moved by 1/r, makes run_instance
+    raise.  The pass translates no orbit of larger degree, so the same fault
+    planted on one goes unseen there; the twist-fixed center stands in for
+    a size check at those (test_a_center_not_fixed_by_the_twist_raises)."""
     params = make_params(n=2, q=9, eps=-1, ell=7)
-    target = enumerate_ellprime_orbits(params)[-1]
+    walked = semisimple.translate_orbit(
+        root_label(1, 2), symbols.IDENTITY_ORBIT, params.eq
+    )
+    unwalked = enumerate_ellprime_orbits(params)[-1]
+    assert (walked.size, unwalked.size) == (1, 2)
     real_translate = semisimple.translate_orbit
+    planted = []
 
     def wrong_size(z, orbit, eq):
         image = real_translate(z, orbit, eq)
-        if image == target:
+        if image in planted:
             return image._replace(size=image.size + 1)
         return image
 
-    clear_symbol_caches()
     monkeypatch.setattr(symbols, "translate_orbit", wrong_size)
+    planted.append(unwalked)
+    clear_symbol_caches()
+    assert run_instance(params).all_passed
+    planted.append(walked)
+    clear_symbol_caches()
     with pytest.raises(InvariantViolationError, match="changed orbit size"):
         run_instance(params)
     monkeypatch.undo()
     clear_symbol_caches()
     assert run_instance(params).all_passed
+
+
+def test_a_center_not_fixed_by_the_twist_raises(plant):
+    """A center whose order does not divide eq - 1 breaks the identity that
+    stands in for a size check at every orbit: the kernel and the
+    fixed-block pass raise, on a full and on a unipotent-only run."""
+    params = make_params(n=2, q=9, eps=-1, ell=7)
+    assert (params.eq - 1) % 3
+    plant(
+        symbols,
+        "center_elements",
+        lambda params: semisimple.CenterGroup(
+            3, (IDENTITY, root_label(1, 3), root_label(2, 3))
+        ),
+    )
+    for run in (
+        lambda: run_instance(params),
+        lambda: run_instance(params, unipotent_only=True),
+        lambda: symbols._block_stabilizers(params),
+    ):
+        with pytest.raises(InvariantViolationError, match="not fixed by the twist"):
+            run()
+
+
+@pytest.mark.slow
+def test_run_instance_rows_are_the_block_counts_records():
+    """On every n <= 5 grid instance the rows of run_instance, whose GL
+    records the block walk carries, are the records block_counts folds for
+    the enumerated blocks, plain and unipotent_only."""
+    for params in grid_params((1, 2, 3, 4, 5)):
+        blocks = enumerate_block_symbols(params)
+        assert run_instance(params).rows == tuple(block_counts(blocks, params))
+        unipotent = tuple(b for b in blocks if is_unipotent_block(b))
+        assert run_instance(params, unipotent_only=True).rows == tuple(
+            block_counts(unipotent, params)
+        )
+
+
+def test_walk_fold_sees_a_slot_record_off_by_one(plant):
+    """One slot record whose symbol list is one longer than its partitions,
+    planted in the fold of the block walk, fails counts_match in
+    run_instance on exactly the blocks that carry that slot; block_counts,
+    which folds with the same step, finds the same rows."""
+    orbit, m, lam = PLANT_BLOCKS[1].triples[0]
+    target = symbols._slot_counts(m, e_gamma(orbit.size, P25), lam, P25.ell)
+    real_fold = symbols._fold
+
+    def off_by_one(record, slot):
+        nsym, nwt, listed_sym, listed_wt, failed = real_fold(record, slot)
+        if slot == target:
+            listed_sym += 1
+        return nsym, nwt, listed_sym, listed_wt, failed
+
+    assert run_instance(P25).checks["counts_match"]
+    plant(symbols, "_fold", off_by_one)
+    report = run_instance(P25)
+    assert report.checks["counts_match"] is False
+    bad = {row.block for row in report.rows if "counts_match" in row.failed}
+    assert bad == {
+        row.block
+        for row in report.rows
+        if any(
+            symbols._slot_counts(m, e_gamma(o.size, P25), lam, P25.ell) == target
+            for o, m, lam in row.block.triples
+        )
+    }
+    assert PLANT_BLOCKS[1] in bad
+    assert report.rows == tuple(block_counts(enumerate_block_symbols(P25), P25))
 
 
 def test_block_counts_equal_the_label_level_reference():
@@ -905,16 +1029,16 @@ def test_gl_check_sees_a_planted_fault(check, monkeypatch, plant):
         clear_symbol_caches()
 
 
-def _rows_with_a_remainder(fault, real_block_counts):
-    """A stand-in for block_counts that plants one fault in its rows: one
+def _rows_with_a_remainder(fault, real_walk_block_counts):
+    """A stand-in for walk_block_counts that plants one fault in its rows: one
     more block orbit member, with kappa_b |C1| = 1 and no Brauer character,
     so that only kappa_b |C1| summed over the blocks leaves a remainder over
     the center order; or one more SL Brauer character on a block whose
     kappa_b |C1| is 1, so that only kappa_b sl_ibr |C1| summed does,
     while its quotient stays the squared stabilizer total's."""
 
-    def block_counts(blocks, params):
-        rows = list(real_block_counts(blocks, params))
+    def walk_block_counts(orbits, params):
+        rows = list(real_walk_block_counts(orbits, params))
         i = next(i for i, row in enumerate(rows) if row.kappa_b * row.c1_order == 1)
         row = rows[i]
         if fault == "one more block orbit member":
@@ -923,7 +1047,7 @@ def _rows_with_a_remainder(fault, real_block_counts):
             rows[i] = row._replace(sl_ibr=row.sl_ibr + 1, sl_weights=row.sl_weights + 1)
         yield from rows
 
-    return block_counts
+    return walk_block_counts
 
 
 @pytest.mark.parametrize(
@@ -966,7 +1090,9 @@ def test_sl_check_sees_a_planted_fault(check, fault, monkeypatch):
     }
     for name in ("one more block orbit member", "one more SL Brauer character"):
         faults[name] = (
-            verify, "block_counts", _rows_with_a_remainder(name, verify.block_counts)
+            verify,
+            "walk_block_counts",
+            _rows_with_a_remainder(name, verify.walk_block_counts),
         )
     assert run_instance(P25).checks[check]
     monkeypatch.setattr(*faults[fault])

@@ -1,7 +1,9 @@
 import ast
+import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -88,6 +90,30 @@ def reference_json(reports) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def reference_csv(reports) -> str:
+    """Reference for the CSV report: each label is the compact json.dumps
+    of block_to_jsonable."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(verify.CSV_FIELDS)
+    for report in reports:
+        p = report.params
+        refusal = report.totals["sl_refused"]
+        for row in report.rows:
+            label = json.dumps(
+                block_to_jsonable(row.block), separators=(",", ":"), sort_keys=True
+            )
+            if refusal is None:
+                sl_cols = (row.kappa_b, row.sl_ibr, row.sl_weights, "")
+            else:
+                sl_cols = ("", "", "", refusal)
+            writer.writerow(
+                (p.n, p.q, p.eps, p.ell, label, row.ibr, row.weights, row.kappa_b)
+                + sl_cols
+            )
+    return buf.getvalue()
+
+
 def test_worked_instance_report():
     report = run_instance(WORKED)
     assert report.all_passed
@@ -165,11 +191,11 @@ def test_run_instance_leaves_the_collector_as_found(gc_state, enabled):
 def test_run_instance_restores_the_collector_on_raise(gc_state, monkeypatch):
     seen = []
 
-    def broken(blocks, params):
+    def broken(orbits, params):
         seen.append(gc.isenabled())
         raise InvariantViolationError("planted")
 
-    monkeypatch.setattr(verify, "block_counts", broken)
+    monkeypatch.setattr(verify, "walk_block_counts", broken)
     gc.enable()
     with pytest.raises(InvariantViolationError, match="planted"):
         run_instance(WORKED)
@@ -421,6 +447,18 @@ def test_json_emitter_matches_reference_on_grid(unipotent_only):
             "ell divides gcd(n, q-eps)",
         }
     assert reports_to_json(reports) == reference_json(reports)
+
+
+@pytest.mark.parametrize("unipotent_only", [False, True])
+def test_csv_labels_match_the_reference_on_grid(unipotent_only):
+    """Byte identity of the CSV report, whose labels are written from the
+    memoized text of each triple, with the json.dumps reference on the
+    n <= 3 grid, on an n = 4 instance with a center of order 10 and on an
+    empty report."""
+    reports = run_grid(N3_GRID + [make_params(n=4, q=9, eps=-1, ell=7)], unipotent_only)
+    empty = InstanceReport(WORKED, (), {}, {**reports[0].totals, "blocks": 0})
+    for given in (reports, [empty], []):
+        assert reports_to_csv(given) == reference_csv(given)
 
 
 def test_json_emitter_matches_reference_on_edge_reports():
