@@ -187,29 +187,37 @@ def _enumerate_gl(F: TinyField, n: int, special: bool) -> list[tuple[int, ...]]:
     return [a for a in cells if mat_det(F, a, n) != 0]
 
 
-def _herm(F: TinyField, u, v, n: int) -> int:
-    q, add, mul, frob = F.q, F.add, F.mul, F.frob
+def _herm(F: TinyField, u_bar, v) -> int:
+    """The Hermitian form of u and v, from u_bar, the entrywise frob of u:
+    a column compared with many candidates is conjugated once."""
+    q, add, mul = F.q, F.add, F.mul
     acc = 0
-    for i in range(n):
-        acc = add[acc * q + mul[frob[u[i]] * q + v[i]]]
+    for a, b in zip(u_bar, v):
+        acc = add[acc * q + mul[a * q + b]]
     return acc
 
 
 def _enumerate_gu(F: TinyField, n: int) -> list[tuple[int, ...]]:
     """Every unitary n x n matrix, as its orthonormal frames of columns; each
     depth takes the unit vectors orthogonal to the columns chosen so far."""
+    frob = F.frob
     vectors = itertools.product(range(F.q), repeat=n)
-    unit = [v for v in vectors if _herm(F, v, v, n) == 1]
+    unit = [v for v in vectors if _herm(F, [frob[x] for x in v], v) == 1]
     out: list[tuple[int, ...]] = []
     cols: list[tuple[int, ...]] = []
 
     def extend(candidates) -> None:
-        if len(cols) == n:
-            out.append(tuple(cols[j][i] for i in range(n) for j in range(n)))
+        if len(cols) == n - 1:
+            # The last column: each candidate completes a frame, whose
+            # rows are read across the columns.
+            out.extend(
+                tuple(itertools.chain.from_iterable(zip(*cols, v))) for v in candidates
+            )
             return
         for v in candidates:
+            v_bar = [frob[x] for x in v]
             cols.append(v)
-            extend([u for u in candidates if _herm(F, v, u, n) == 0])
+            extend([u for u in candidates if _herm(F, v_bar, u) == 0])
             cols.pop()
 
     extend(unit)

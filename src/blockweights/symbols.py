@@ -27,17 +27,22 @@ walk_block_counts on the blocks of the block walk, for verify.run_instance.
 The labels of a block are products over its slots (orbit, m, core), so the
 GL side is counted and checked once per slot shape (_slot_counts), and a
 block's GL record is the fold (_fold) of its slots' records.  The block walk
-_blocks_after folds each slot in as it extends a head, so each block comes
-out of the walk with its record; block_counts folds the slots of a block
-it is given with the same step.  A central element outside the block
-stabilizer C1 moves every label of a block into another block, so where C1
-is trivial every label stabilizer is 1 and the kernel builds no label; it
-scans the labels of the other blocks under C1 only.  Every sum over orbits
-is counted by orbit-stabilizer: a label with stabilizer order k lies in an
-orbit of |G| / k labels, so summing k^2 / |G| over all labels adds k once
-per orbit.  Per block G is C1, whose orbits are where the center orbits
-meet the block, and the sums are the per-SL-block counts; over the blocks
-of an instance G is the center, and the symbol sum is the number of Brauer
+_walk_blocks builds bottom up: it lists once the sorted tuples of each size
+below n, the tails, with their records, and builds each block as one first
+triple followed by a tail over later orbits, folding that triple into the
+tail's record; the blocks themselves are yielded as they are built, each
+with its record.  block_counts folds the slots of a block it is given with
+the same step.  A central element outside the block stabilizer C1 moves
+every label of a block into another block, so where C1 is trivial every
+label stabilizer is 1, the kernel builds no label and its per-SL-block
+counts are the list lengths; it scans the labels of the other blocks under
+C1 only, and looks a block up in the stabilizer map only when its first
+orbit begins a block of the map.  Every sum over orbits is counted by
+orbit-stabilizer: a label with stabilizer order k lies in an orbit of
+|G| / k labels, so summing k^2 / |G| over all labels adds k once per
+orbit.  Per block G is C1, whose orbits are where the center orbits meet
+the block, and the sums are the per-SL-block counts; over the blocks of an
+instance G is the center, and the symbol sum is the number of Brauer
 characters of SL_n(eps q).
 
 The center Z acts on orbits by translation, which commutes with the twist
@@ -261,45 +266,58 @@ def symbols_in_block(
     return tuple(out)
 
 
-def _blocks_after(items, slots, candidates, last: int, budget: int, head, record, ell):
-    """Yield every tuple of triples (item, m, lam) that extends head by
-    triples over items[i] with i > last, where slots[i] = (weight, e),
-    m >= 1 and lam is an e-core of a partition of m, of total size budget:
-    weight times m summed.  They come ordered by i, then m, then lam, slot
-    by slot.  candidates[b] lists the indices of the items of weight at
-    most b.
-
-    Each tuple comes with its GL record: record, the record of head, with
-    the record _slot_counts(m, e, lam, ell) of each triple added folded in
-    by _fold, once per triple as the walk takes it, so a head shared by
-    many tuples is folded once."""
-    idx = candidates[budget]
-    for i in idx[bisect_right(idx, last) :]:
-        item = items[i]
-        weight, e = slots[i]
-        for m in range(1, budget // weight + 1):
-            rest = budget - weight * m
-            if rest and not (candidates[rest] and candidates[rest][-1] > i):
-                continue  # no item after this one fits in rest
-            for lam, slot in _slot_records(m, e, ell):
-                triples = head + ((item, m, lam),)
-                extended = _fold(record, slot)
-                if rest:
-                    yield from _blocks_after(
-                        items, slots, candidates, i, rest, triples, extended, ell
-                    )
-                else:
-                    yield triples, extended
-
-
 def _walk_blocks(items, slots, n: int, ell: int):
-    """_blocks_after from the empty head and record over the whole budget
-    n."""
+    """Yield every tuple of triples (items[i], m, lam) over distinct items,
+    where slots[i] = (weight, e), m >= 1 and lam is an e-core of a partition
+    of m, of size n: weight times m summed.  They come sorted, ordered by i,
+    then m, then lam, slot by slot, each with its GL record: the records
+    _slot_counts(m, e, lam, ell) of its triples folded by _fold.
+
+    The walk builds bottom up.  A tuple of size b is a first triple
+    (items[i], m, lam) followed by a tail: a tuple of size b - weight m
+    whose first item index exceeds i, or the empty tail.  So the tuples of
+    each size b < n, the tails, are built once, sorted, from the smaller
+    ones, each with its record and first item index, and the tails a first
+    triple takes are a suffix of those of their size, found by bisection.
+    Each tuple costs one concatenation and one fold of its first slot into
+    the record of its tail, and shares its triples with its tail.  The
+    tuples of size n are yielded as they are built and never listed."""
+    fold = _fold
     candidates: list[list[int]] = [[] for _ in range(n + 1)]
     for i, (weight, _) in enumerate(slots):
         for b in range(weight, n + 1):
             candidates[b].append(i)
-    return _blocks_after(items, slots, candidates, -1, n, (), _NO_SLOT, ell)
+    # tails[b]: the (triples, record) of every tuple of size b, sorted;
+    # firsts[b]: the first item index of each, the empty tail's past all.
+    tails = [[((), _NO_SLOT)]]
+    firsts = [[len(items)]]
+
+    def heads(b):
+        """(i, first triple as a 1-tuple, its record, the tails after it)
+        of every first triple of a tuple of size b, in sorted order."""
+        for i in candidates[b]:
+            item = items[i]
+            weight, e = slots[i]
+            for m in range(1, b // weight + 1):
+                rest = b - weight * m
+                start = bisect_right(firsts[rest], i)
+                if start == len(firsts[rest]):
+                    continue  # no tail of size rest starts after item i
+                after = tails[rest][start:]
+                for lam, slot in _slot_records(m, e, ell):
+                    yield i, ((item, m, lam),), slot, after
+
+    for b in range(1, n):
+        built = []
+        starts = []
+        for i, head, slot, after in heads(b):
+            built += [(head + tail, fold(record, slot)) for tail, record in after]
+            starts += [i] * len(after)
+        tails.append(built)
+        firsts.append(starts)
+    for _, head, slot, after in heads(n):
+        for tail, record in after:
+            yield head + tail, fold(record, slot)
 
 
 def _orbit_walk(orbits, params: InstanceParams):
@@ -316,11 +334,11 @@ def enumerate_block_symbols(params: InstanceParams) -> tuple[BlockSymbol, ...]:
 
     Block symbols compare by their triples, and distinct orbits have
     distinct representatives, so the sorted order is lexicographic in the
-    triples (orbit, m, core), slot by slot.  _blocks_after walks exactly
-    that order: the orbits ascending, each after the one taken last, then m
-    ascending, then the cores ascending, then the rest of the budget the
-    same way.  Each block is one path of that walk, so it comes once, and
-    the blocks need no sort.
+    triples (orbit, m, core), slot by slot.  _walk_blocks builds exactly
+    that order: the first orbit ascending, then m ascending, then the core
+    ascending, then the sorted tails over later orbits that fill the rest
+    of n.  Each block is one first triple and one tail, so it comes once,
+    and the blocks need no sort.
     """
     orbits = enumerate_ellprime_orbits(params)
     return tuple(BlockSymbol(triples) for triples, _ in _orbit_walk(orbits, params))
@@ -497,6 +515,14 @@ def _block_stabilizers(
             # C1 is the subgroup of order c1, the z whose denominator divides c1.
             stabilizers[block] = tuple(y for y in zs_rest if c1 % y.den == 0)
     return stabilizers
+
+
+@lru_cache(maxsize=1)
+def _fixed_first_orbits(params: InstanceParams) -> frozenset:
+    """The first orbit of every block in the map of _block_stabilizers: a
+    block whose first orbit is none of these has C1 = 1, and the kernel
+    looks it up nowhere.  Cached for the last instance, as the map is."""
+    return frozenset(block.triples[0][0] for block in _block_stabilizers(params))
 
 
 # Weight symbols per block.
@@ -721,7 +747,9 @@ def block_counts(blocks, params: InstanceParams):
     passed with it.  A unipotent block, on the identity orbit alone, has
     C1 = 1 without a look-up: z != 1 moves the identity orbit to the orbit
     of z.  So the map is built at the first block that is not unipotent,
-    and a unipotent-only run builds none.
+    and a unipotent-only run builds none.  A block is looked up only when
+    its first orbit is the first orbit of some block of the map
+    (_fixed_first_orbits); no other block can be in it.
 
     The SL quantities are computed whether or not sl_refusal admits the
     instance; callers decide whether they apply.  On an admitted instance
@@ -779,7 +807,11 @@ def block_counts(blocks, params: InstanceParams):
     the orbit of z has size 1, as the identity orbit, by the same identity.
 
     The per-SL-block sums are counted by orbit-stabilizer in C1 and divided
-    by |C1| kappa_b; a remainder fails sl_blockwise_awc.
+    by |C1| kappa_b; a remainder fails sl_blockwise_awc, and so do quotients
+    that differ.  When C1 = 1 the divisor is 1: sl_ibr and stab_sq_sum are
+    the length of the symbol list and sl_weights that of the weight list,
+    so sl_blockwise_awc fails exactly when the two lengths differ, and the
+    kernel takes them without a division.
     """
     table = params.e_gamma_table
     ell = params.ell
@@ -804,69 +836,84 @@ def walk_block_counts(orbits, params: InstanceParams):
 
 def _kernel(counted, params: InstanceParams):
     """The body of block_counts, from the triples of each block with its GL
-    record: the GL checks of the record, C1 and kappa_b, the label scan
-    where C1 != 1 and the SL divisions."""
+    record: the GL checks of the record and C1.  Where C1 = 1 the record
+    gives the row; a failed-name set is built only when a check fails.
+    Elsewhere kappa_b, the label scan under C1 and the SL divisions."""
     eq = params.eq
     zs_rest = _twist_fixed_center(params).elements[1:]
     stabilizers = None
+    fixed_firsts = frozenset()
     # The named tuples are built by tuple.__new__, as their _make builds
     # them, without the Python-level __new__ they have: on the per-block
     # path that call costs as much as the rest of building the tuple.
     new = tuple.__new__
-    for triples, (nsym, nwt, listed_sym, listed_wt, slot_failed) in counted:
+    for triples, (nsym, nwt, listed_sym, listed_wt, failed) in counted:
         block = new(BlockSymbol, (triples,))
-        failed = set(slot_failed)
-        if nsym != nwt:
-            failed.add("gl_blockwise_awc")
-        if listed_sym != nsym or listed_wt != nwt:
-            failed.add("counts_match")
-        # kappa_b = |C1 intersect C2|: C1 is the setwise stabilizer of the
-        # block in the center, C2 the elements that fix every constraint
-        # suborbit of it.  The triples are sorted, so the block is
-        # unipotent when its last orbit is the identity.
-        if triples[-1][0] == IDENTITY_ORBIT:
-            c1_rest = ()
-        else:
-            if stabilizers is None:
-                stabilizers = _block_stabilizers(params)
-            c1_rest = stabilizers.get(block, ())
+        if nsym != nwt or listed_sym != nsym or listed_wt != nwt:
+            failed = set(failed)
+            if nsym != nwt:
+                failed.add("gl_blockwise_awc")
+            if listed_sym != nsym or listed_wt != nwt:
+                failed.add("counts_match")
+        # C1 is the setwise stabilizer of the block in the center.  The
+        # triples are sorted, so the block is unipotent, with C1 = 1, when
+        # its last orbit is the identity; the map is built at the first
+        # block that is not.  A block whose first orbit begins no block of
+        # the map is not in it.
+        if stabilizers is None and triples[-1][0] != IDENTITY_ORBIT:
+            stabilizers = _block_stabilizers(params)
+            fixed_firsts = _fixed_first_orbits(params)
+        c1_rest = stabilizers.get(block) if triples[0][0] in fixed_firsts else None
 
+        if c1_rest is None:
+            # C1 = 1: kappa_b = 1, every stabilizer is 1, each squared
+            # stabilizer sum is the number of labels and each per-SL-block
+            # sum that number over 1.
+            if listed_sym != listed_wt:
+                failed = {*failed, "sl_blockwise_awc"}
+            yield new(
+                BlockCounts,
+                (
+                    block, nsym, nwt, 1, 1, listed_sym, listed_wt, listed_sym,
+                    tuple(sorted(failed)) if failed else (),
+                ),
+            )
+            continue
+
+        # kappa_b = |C1 intersect C2|, C2 the elements that fix every
+        # constraint suborbit of the block.
+        failed = set(failed)
         kappa_b = 1
-        # C1 = 1: every stabilizer is 1, each squared stabilizer sum is the
-        # number of labels.
-        stab_sq_sum = listed_sym
-        wt_sq_sum = listed_wt
-        if c1_rest:
-            steps = _block_steps(block, params)
-            for z in c1_rest:
-                if all(_z_fixes_cycle(z, rep, step, eq) for rep, step in steps):
-                    kappa_b += 1
-            # Weight side first: stabilizers by weight symbol, so the
-            # symbols can match into them.
-            wt_stab: dict = {}
-            wt_sq_sum = 0
-            for w in weight_symbols_in_block(block, params):
-                stab = wt_stab[w] = _stabilizer(w, c1_rest, params)
-                wt_sq_sum += stab * stab
-                if stab % kappa_b:
-                    failed.add("kappa_divisibility")
-            stab_sq_sum = 0
-            for s in symbols_in_block(block, params):
-                stab = _stabilizer(s, c1_rest, params)
-                stab_sq_sum += stab * stab
-                if stab % kappa_b:
-                    failed.add("kappa_divisibility")
-                image = to_weight_symbol(s, params)
-                # An image outside the block fails bijection_block_preserved
-                # at its slot.
-                if wt_stab.get(image, stab) != stab:
-                    failed.add("bijection_kappa_preserved")
-                if any(
-                    z_act(z, image, params)
-                    != to_weight_symbol(z_act(z, s, params), params)
-                    for z in zs_rest
-                ):
-                    failed.add("bijection_equivariant")
+        steps = _block_steps(block, params)
+        for z in c1_rest:
+            if all(_z_fixes_cycle(z, rep, step, eq) for rep, step in steps):
+                kappa_b += 1
+        # Weight side first: stabilizers by weight symbol, so the
+        # symbols can match into them.
+        wt_stab: dict = {}
+        wt_sq_sum = 0
+        for w in weight_symbols_in_block(block, params):
+            stab = wt_stab[w] = _stabilizer(w, c1_rest, params)
+            wt_sq_sum += stab * stab
+            if stab % kappa_b:
+                failed.add("kappa_divisibility")
+        stab_sq_sum = 0
+        for s in symbols_in_block(block, params):
+            stab = _stabilizer(s, c1_rest, params)
+            stab_sq_sum += stab * stab
+            if stab % kappa_b:
+                failed.add("kappa_divisibility")
+            image = to_weight_symbol(s, params)
+            # An image outside the block fails bijection_block_preserved
+            # at its slot.
+            if wt_stab.get(image, stab) != stab:
+                failed.add("bijection_kappa_preserved")
+            if any(
+                z_act(z, image, params)
+                != to_weight_symbol(z_act(z, s, params), params)
+                for z in zs_rest
+            ):
+                failed.add("bijection_equivariant")
 
         # Orbit-stabilizer in C1: the squared stabilizer orders over |C1|
         # add the stabilizer order of each C1-orbit once, and kappa_b

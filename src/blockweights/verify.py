@@ -5,7 +5,9 @@ every block of one (n, q, eps, ell) instance as the block walk builds it, and
 keeps its records, one symbols.BlockCounts per block, as the report rows: the
 Brauer character count, the weight count, the center stabilizer data and the
 per-SL-block counts; they equal the records symbols.block_counts gives the
-enumerated blocks.  With them comes a dictionary of named equality checks:
+enumerated blocks.  The finished rows are summed column by column, and their
+failed names gathered, by map and sum, with no Python loop per row.  With
+them comes a dictionary of named equality checks:
 
 * gl_blockwise_awc: per block, #Brauer characters == #weight classes;
 * counts_match: closed form counts agree with explicit enumerations;
@@ -51,7 +53,9 @@ import gc
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, mul
 
 from .arith import InstanceParams
 from .semisimple import center_elements, enumerate_ellprime_orbits
@@ -116,24 +120,19 @@ def run_instance(
             GL_CHECKS + (SL_BLOCK_CHECKS if admitted else ()), True
         )
 
-        rows: list[BlockCounts] = []
-        total_symbols = 0
-        total_weights = 0
-        covered_sum = 0
-        covered_ibr_sum = 0
-        stab_sq_total = 0
-        for row in walk_block_counts(orbits, params):
-            for name in row.failed:
-                if name in checks:
-                    checks[name] = False
-            total_symbols += row.ibr
-            total_weights += row.weights
-            stab_sq_total += row.stab_sq_sum
-            if admitted:
-                covered = row.kappa_b * row.c1_order
-                covered_sum += covered
-                covered_ibr_sum += covered * row.sl_ibr
-            rows.append(row)
+        rows = tuple(walk_block_counts(orbits, params))
+        for name in set(chain.from_iterable(map(attrgetter("failed"), rows))):
+            if name in checks:
+                checks[name] = False
+        total_symbols = sum(map(attrgetter("ibr"), rows))
+        total_weights = sum(map(attrgetter("weights"), rows))
+        stab_sq_total = sum(map(attrgetter("stab_sq_sum"), rows))
+        covered_sum = covered_ibr_sum = 0
+        if admitted:
+            kappa_b = map(attrgetter("kappa_b"), rows)
+            covered = list(map(mul, kappa_b, map(attrgetter("c1_order"), rows)))
+            covered_sum = sum(covered)
+            covered_ibr_sum = sum(map(mul, covered, map(attrgetter("sl_ibr"), rows)))
 
         # Orbit-stabilizer in the center Z: an orbit of blocks with
         # stabilizer C1 has |Z| / |C1| members, and one of symbols with
@@ -157,7 +156,7 @@ def run_instance(
             "sl_total_ibr": total_kappa if admitted else None,
             "sl_refused": refusal,
         }
-        return InstanceReport(params, tuple(rows), checks, totals)
+        return InstanceReport(params, rows, checks, totals)
     finally:
         if was_enabled:
             gc.enable()

@@ -1,10 +1,11 @@
 """Helpers that only the tests call: whole-instance symbol lists and
 retained grid reports, both built from the streaming library entry points,
-the reference twist walk and center-cycle walk, the instances the
-references run on, and a reset of the symbol caches for tests that plant
-faults under them."""
+the reference twist walk, center-cycle walk and block walk, the instances
+the references run on, and a reset of the symbol caches for tests that
+plant faults under them."""
 
 import math
+from bisect import bisect_right
 
 from blockweights import symbols
 from blockweights.arith import is_prime, make_params
@@ -47,6 +48,51 @@ def suborbit(sigma, d, eq):
         elems.append(RootLabel(den, num))
         num = num * u % den
     return tuple(elems)
+
+
+def _blocks_after(items, slots, candidates, last, budget, head, record, ell):
+    """Yield every tuple of triples (item, m, lam) that extends head by
+    triples over items[i] with i > last, where slots[i] = (weight, e),
+    m >= 1 and lam is an e-core of a partition of m, of total size budget:
+    weight times m summed.  They come ordered by i, then m, then lam, slot
+    by slot.  candidates[b] lists the indices of the items of weight at
+    most b.  Each tuple comes with record, the record of head, with the
+    record of each triple added folded in by symbols._fold."""
+    idx = candidates[budget]
+    for i in idx[bisect_right(idx, last) :]:
+        item = items[i]
+        weight, e = slots[i]
+        for m in range(1, budget // weight + 1):
+            rest = budget - weight * m
+            if rest and not (candidates[rest] and candidates[rest][-1] > i):
+                continue  # no item after this one fits in rest
+            for lam, slot in symbols._slot_records(m, e, ell):
+                triples = head + ((item, m, lam),)
+                extended = symbols._fold(record, slot)
+                if rest:
+                    yield from _blocks_after(
+                        items, slots, candidates, i, rest, triples, extended, ell
+                    )
+                else:
+                    yield triples, extended
+
+
+def reference_walk(items, slots, n, ell):
+    """Reference for symbols._walk_blocks, top down: each tuple is extended
+    slot by slot from the empty head, recursively, and passed up through
+    one generator per slot."""
+    candidates = [[] for _ in range(n + 1)]
+    for i, (weight, _) in enumerate(slots):
+        for b in range(weight, n + 1):
+            candidates[b].append(i)
+    return _blocks_after(items, slots, candidates, -1, n, (), symbols._NO_SLOT, ell)
+
+
+def orbit_slots(orbits, params):
+    """The (weight, e) of each orbit in the orbit walk: its degree and
+    e_gamma of it."""
+    table = params.e_gamma_table
+    return [(orb.size, table[orb.size - 1]) for orb in orbits]
 
 
 def center_cycles(params):
@@ -140,8 +186,10 @@ def report_order(report):
 
 
 def clear_symbol_caches():
-    """Drop what _slot_counts, _slot_records and _block_stabilizers hold, so
-    that code planted under them, or undone, is run again."""
+    """Drop what _slot_counts, _slot_records, _block_stabilizers and
+    _fixed_first_orbits hold, so that code planted under them, or undone,
+    is run again."""
     symbols._slot_counts.cache_clear()
     symbols._slot_records.cache_clear()
     symbols._block_stabilizers.cache_clear()
+    symbols._fixed_first_orbits.cache_clear()

@@ -52,7 +52,9 @@ from helpers import (
     center_cycles,
     clear_symbol_caches,
     enumerate_admissible_symbols,
+    orbit_slots,
     reference_block_stabilizers,
+    reference_walk,
     suborbit,
     unipotent_blocks,
 )
@@ -634,6 +636,77 @@ def test_block_walk_skips_a_budget_with_no_candidate():
         assert record == folded
 
 
+def _assert_walks_match_the_reference(params, monkeypatch):
+    """The orbit walk, the unipotent walk and every <1/r>-cycle walk of the
+    fixed-block pass of one instance yield the triples of the reference
+    walk, in its order, with equal records."""
+    cycle_walks = []
+    real_walk = symbols._walk_blocks
+
+    def spy(items, slots, n, ell):
+        cycle_walks.append((items, slots, n, ell))
+        return real_walk(items, slots, n, ell)
+
+    orbits = enumerate_ellprime_orbits(params)
+    for items in (orbits, (symbols.IDENTITY_ORBIT,)):
+        walked = list(symbols._orbit_walk(items, params))
+        slots = orbit_slots(items, params)
+        assert walked == list(reference_walk(items, slots, params.n, params.ell))
+    monkeypatch.setattr(symbols, "_walk_blocks", spy)
+    clear_symbol_caches()
+    symbols._block_stabilizers(params)
+    monkeypatch.undo()
+    clear_symbol_caches()
+    for args in cycle_walks:
+        assert list(symbols._walk_blocks(*args)) == list(reference_walk(*args))
+    return len(cycle_walks)
+
+
+def test_block_walk_matches_the_reference_walk(monkeypatch):
+    """On every n <= 5 grid instance the bottom-up block walk yields what
+    the recursive reference walk yields, in the same order, with equal
+    records: over the orbits, over the identity orbit alone, and over the
+    <1/r>-cycles of the fixed-block pass, of which some instance has one."""
+    cycle_walks = 0
+    for params in grid_params((1, 2, 3, 4, 5)):
+        cycle_walks += _assert_walks_match_the_reference(params, monkeypatch)
+    assert cycle_walks
+
+
+@pytest.mark.slow
+def test_block_walk_matches_the_reference_walk_at_n6(monkeypatch):
+    """The same on every n = 6 grid instance."""
+    for params in grid_params((6,)):
+        _assert_walks_match_the_reference(params, monkeypatch)
+
+
+def test_block_walk_builds_no_block_before_the_first(plant):
+    """Taking the first block of the n = 5 q = 9 walk folds at most once
+    per tail, a tuple of size below n, and once for the block, under a
+    quarter of the 75,720 folds of the whole walk: the walk lists its tails
+    but yields each block as it builds it."""
+    params = make_params(n=5, q=9, eps=-1, ell=7)
+    orbits = enumerate_ellprime_orbits(params)
+    slots = orbit_slots(orbits, params)
+    tails = sum(
+        sum(1 for _ in reference_walk(orbits, slots, b, params.ell))
+        for b in range(1, params.n)
+    )
+    folds = 0
+    real_fold = symbols._fold
+
+    def counting_fold(record, slot):
+        nonlocal folds
+        folds += 1
+        return real_fold(record, slot)
+
+    plant(symbols, "_fold", counting_fold)
+    walk = symbols._walk_blocks(orbits, slots, params.n, params.ell)
+    first, _ = next(walk)
+    assert 0 < folds <= tails + 1 < 75720 // 4
+    assert first == enumerate_block_symbols(params)[0].triples
+
+
 def test_fixed_block_pass_finds_every_nontrivial_stabilizer():
     """The fixed-block pass maps exactly the blocks with C1 != 1 to C1
     without the identity, as the brute-force z_act scan of block_c1_c2
@@ -814,6 +887,46 @@ def test_walk_fold_sees_a_slot_record_off_by_one(plant):
     }
     assert PLANT_BLOCKS[1] in bad
     assert report.rows == tuple(block_counts(enumerate_block_symbols(P25), P25))
+
+
+def test_kernel_c1_is_read_at_every_fixed_block():
+    """On every n <= 5 grid instance with a nontrivial center, each row's
+    c1_order is one more than its entry in the stabilizer map, so no block
+    of the map is skipped by the first-orbit filter of the kernel."""
+    fixed = 0
+    for params in grid_params((1, 2, 3, 4, 5)):
+        if center_elements(params).order == 1:
+            continue
+        stabilizers = symbols._block_stabilizers(params)
+        for row in run_instance(params).rows:
+            assert row.c1_order == 1 + len(stabilizers.get(row.block, ()))
+        fixed += len(stabilizers)
+    assert fixed
+
+
+def test_listed_counts_that_differ_fail_on_a_block_with_trivial_c1(plant):
+    """A block with C1 = 1 whose symbol list is planted one longer than its
+    weight list fails counts_match and sl_blockwise_awc, alone and in
+    run_instance: its per-SL-block counts are the two list lengths."""
+    block = PLANT_BLOCKS[0]
+    ((orbit, m, lam),) = block.triples
+    target = symbols._slot_counts(m, e_gamma(orbit.size, P25), lam, P25.ell)
+    real_fold = symbols._fold
+
+    def off_by_one(record, slot):
+        nsym, nwt, listed_sym, listed_wt, failed = real_fold(record, slot)
+        if slot == target:
+            listed_sym += 1
+        return nsym, nwt, listed_sym, listed_wt, failed
+
+    (clean,) = block_counts((block,), P25)
+    assert clean.c1_order == 1 and not clean.failed
+    plant(symbols, "_fold", off_by_one)
+    (counts,) = block_counts((block,), P25)
+    assert counts.failed == ("counts_match", "sl_blockwise_awc")
+    assert (counts.sl_ibr, counts.sl_weights) == (clean.sl_ibr + 1, clean.sl_weights)
+    checks = run_instance(P25).checks
+    assert checks["counts_match"] is False and checks["sl_blockwise_awc"] is False
 
 
 def test_block_counts_equal_the_label_level_reference():
