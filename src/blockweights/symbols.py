@@ -20,7 +20,10 @@ sl_refusal decides whether the SL counts cover an instance; _stabilizer
 gives the stabilizer order of a label under a given set of central
 elements (kappa_ellprime, kappa_weight use the whole center); the per-block
 kernel gives kappa_b = |C1 intersect C2|, the per-SL-block restriction sums
-with their divisibility and the bijection checks.  block_counts runs it on
+with their divisibility and the bijection checks.  A center stabilizer has
+two rules: a label's or a block's is found by the z_act scan, and that of
+an orbit of roots, a twist orbit or a constraint suborbit, by arithmetic
+on its denominator (_center_stabilizer_order).  block_counts runs it on
 any blocks (kappa_block, sl_block_report read it for one), and
 walk_block_counts on the blocks of the block walk, for verify.run_instance.
 
@@ -53,11 +56,14 @@ and such a block is a union of <1/r>-cycles of orbits with one (m, core)
 along each cycle.  The stabilizer of an orbit in Z depends on its
 denominator alone, so _block_stabilizers finds the orbits 1/r fixes once
 per denominator, walks the <1/r>-cycles of the few orbits of degree at
-most n / r that it moves, runs the block walk over those cycles, and finds
-C1 on the blocks it yields by z_act at the prime powers dividing |Z|; every
-other block has C1 = 1, so a block's record does not depend on the other
-blocks passed.  Over the blocks of an instance the SL totals are counted by
-orbit-stabilizer as well: a block orbit has |Z| / |C1| members.
+most n / r that it moves, runs the block walk over those cycles, and scans
+C1 on the blocks it yields by z_act at every nontrivial central element;
+every other block has C1 = 1, so a block's record does not depend on the
+other blocks passed.  C2, the subgroup fixing every constraint suborbit of
+a block, is the subgroup of the gcd of the suborbits' stabilizer orders,
+so kappa_b counts the z in C1 whose order divides that gcd.  Over the
+blocks of an instance the SL totals are counted by orbit-stabilizer as
+well: a block orbit has |Z| / |C1| members.
 """
 
 from __future__ import annotations
@@ -91,7 +97,6 @@ from .semisimple import (
     RootLabel,
     _divisors,
     act_on_orbit,
-    center_act,
     center_elements,
     enumerate_ellprime_orbits,
     translate_orbit,
@@ -362,23 +367,6 @@ def _suborbit_step(deg: int, m: int, lam_size: int, params: InstanceParams):
     return 2
 
 
-def _z_fixes_cycle(z: RootLabel, rep: RootLabel, step: int, eq: int) -> bool:
-    """Whether z fixes the constraint suborbit through rep, its orbit under
-    the step-fold twist, setwise.  z is twist-fixed, as q - eps divides
-    eq - 1, so it maps that suborbit onto the one through z rep."""
-    return twist_orbit(center_act(z, rep), eq, step) == twist_orbit(rep, eq, step)
-
-
-def _block_steps(block: BlockSymbol, params: InstanceParams):
-    """(orbit representative, suborbit step) pairs with empty sets dropped."""
-    return [
-        (orb.rep, step)
-        for orb, m, lam in block.triples
-        for step in (_suborbit_step(orb.size, m, sum(lam), params),)
-        if step is not None
-    ]
-
-
 def kappa_block(block: BlockSymbol, params: InstanceParams) -> int:
     """Number of SL-blocks covered by this block: |C1 intersect C2|."""
     (counts,) = block_counts((block,), params)
@@ -391,21 +379,26 @@ def kappa_block(block: BlockSymbol, params: InstanceParams) -> int:
 # <z>-cycles of orbits with one (m, lam) on all the orbits of a cycle.
 
 
-def _center_stabilizer_order(den: int, size: int, eq: int, order: int) -> int:
-    """s(N): the order of the stabilizer, in the center Z of order `order`,
-    of each twist orbit of denominator N = den and degree size.
+def _center_stabilizer_order(den: int, u: int, size: int, order: int) -> int:
+    """The order of the stabilizer, in the center Z of order `order`, of the
+    orbit of a unit a/N, N = den, under multiplication by the unit u mod N,
+    of period size: with u = eq the twist orbits of denominator N and degree
+    size, with u = eq**step the constraint suborbits of that step.
 
-    z + a/N lies in the orbit of a/N when it is a eq**k / N for some k < size,
-    that is z = a (eq**k - 1) / N mod 1.  That is an element of Z, the
-    multiples of 1 / |Z|, exactly when N divides a (eq**k - 1) |Z|, or
-    (eq**k - 1) |Z| as a is a unit mod N, and distinct k give distinct z.
-    So s(N) counts the k < size with N | (eq**k - 1) |Z|, whatever a is."""
+    Z is fixed by the twist (_twist_fixed_center), so z maps that orbit onto
+    the orbit of z + a/N, and fixes it exactly when z + a/N lies in it: when
+    z + a/N = a u**k / N for some k < size, that is z = a (u**k - 1) / N
+    mod 1.  That is an element of Z, the multiples of 1 / |Z|, exactly when
+    N divides a (u**k - 1) |Z|, or (u**k - 1) |Z| as a is a unit mod N, and
+    distinct k give distinct z.  So the order counts the k < size with
+    N | (u**k - 1) |Z|, whatever a is.  Z is cyclic, so the stabilizer is
+    its subgroup of that order, the z whose denominator divides it."""
     count = 0
     power = 1 % den
     for _ in range(size):
         if (power - 1) * order % den == 0:
             count += 1
-        power = power * eq % den
+        power = power * u % den
     return count
 
 
@@ -426,19 +419,6 @@ def _twist_fixed_center(params: InstanceParams):
     return center
 
 
-def _c1_order(block: BlockSymbol, primes, order: int, params: InstanceParams) -> int:
-    """|C1| of a block: C1 is the subgroup of the cyclic center, of order
-    `order`, whose p-part for each prime p is p**k for the largest k with
-    1/p**k fixing the block, as 1/p**j fixes it for every j <= k."""
-    c1 = 1
-    for p in primes:
-        power = p
-        while order % power == 0 and z_act(RootLabel(power, 1), block, params) == block:
-            c1 *= p
-            power *= p
-    return c1
-
-
 @lru_cache(maxsize=1)
 def _block_stabilizers(
     params: InstanceParams,
@@ -451,19 +431,21 @@ def _block_stabilizers(
     element maps twist orbits onto twist orbits of the same size, and the
     <1/r>-cycles below are cycles of orbits.
 
-    The stabilizer of an orbit in the cyclic Z is its subgroup of order
-    s(N) (_center_stabilizer_order), computed once per denominator N, so
-    1/r fixes the orbit exactly when r divides s(N); such an orbit is a
-    one-orbit <1/r>-cycle.  An orbit that 1/r moves lies on a <1/r>-cycle
-    of r orbits, which a block fixed by 1/r holds whole, so only those of
-    degree at most n / r can be in one: translate_orbit walks their cycles,
-    checking the size of every translate and that the cycle closes after
-    exactly r steps.  The blocks fixed by 1/r come from the block walk over
-    the <1/r>-cycles, each of weight its length times its degree: a slot
-    (cycle, m, lam) puts (orbit, m, lam) on every orbit of the cycle.  Only
-    on those blocks z_act finds C1, by _c1_order.  Cached for the last
-    instance only: block_counts looks the map up at every block of one
-    instance, and the next instance replaces it.
+    The stabilizer of a twist orbit in the cyclic Z is its subgroup of
+    order s(N) = _center_stabilizer_order(N, eq, degree, |Z|), which depends
+    on the denominator N alone and is computed once per N, so 1/r fixes the
+    orbit exactly when r divides s(N); such an orbit is a one-orbit
+    <1/r>-cycle.  An orbit that 1/r moves lies on a <1/r>-cycle of r orbits,
+    which a block fixed by 1/r holds whole, so only those of degree at most
+    n / r can be in one: translate_orbit walks their cycles, checking the
+    size of every translate and that the cycle closes after exactly r steps.
+    The blocks fixed by 1/r come from the block walk over the <1/r>-cycles,
+    each of weight its length times its degree: a slot (cycle, m, lam) puts
+    (orbit, m, lam) on every orbit of the cycle.  Only on those blocks does
+    the center act on a block: C1 is read off by definition, the central
+    z != 1 with z_act(z, block) == block, and a block whose C1 lacks 1/r
+    raises.  Cached for the last instance only: block_counts looks the map
+    up at every block of one instance, and the next instance replaces it.
     """
     center = _twist_fixed_center(params)
     order = center.order
@@ -478,7 +460,7 @@ def _block_stabilizers(
     for orb in enumerate_ellprime_orbits(params):
         if orb.rep.den != den:
             den = orb.rep.den
-            stab = _center_stabilizer_order(den, orb.size, eq, order)
+            stab = _center_stabilizer_order(den, eq % den, orb.size, order)
         for r in primes:
             if stab % r == 0:
                 cycles[r].append((orb,))
@@ -507,22 +489,13 @@ def _block_stabilizers(
             block = BlockSymbol(tuple(sorted(triples)))
             if block in stabilizers:
                 continue
-            c1 = _c1_order(block, primes, order, params)
-            if c1 % r:
+            c1_rest = tuple(z for z in zs_rest if z_act(z, block, params) == block)
+            if RootLabel(r, 1) not in c1_rest:
                 raise InvariantViolationError(
                     f"z_act does not fix block {block_to_jsonable(block)} under 1/{r}"
                 )
-            # C1 is the subgroup of order c1, the z whose denominator divides c1.
-            stabilizers[block] = tuple(y for y in zs_rest if c1 % y.den == 0)
+            stabilizers[block] = c1_rest
     return stabilizers
-
-
-@lru_cache(maxsize=1)
-def _fixed_first_orbits(params: InstanceParams) -> frozenset:
-    """The first orbit of every block in the map of _block_stabilizers: a
-    block whose first orbit is none of these has C1 = 1, and the kernel
-    looks it up nowhere.  Cached for the last instance, as the map is."""
-    return frozenset(block.triples[0][0] for block in _block_stabilizers(params))
 
 
 # Weight symbols per block.
@@ -746,10 +719,10 @@ def block_counts(blocks, params: InstanceParams):
     instance and nowhere else, so its record does not depend on the blocks
     passed with it.  A unipotent block, on the identity orbit alone, has
     C1 = 1 without a look-up: z != 1 moves the identity orbit to the orbit
-    of z.  So the map is built at the first block that is not unipotent,
-    and a unipotent-only run builds none.  A block is looked up only when
-    its first orbit is the first orbit of some block of the map
-    (_fixed_first_orbits); no other block can be in it.
+    of z.  So the map, and with it the set of the first orbits of its
+    blocks, is built at the first block that is not unipotent, and a
+    unipotent-only run builds neither.  A block is looked up only when its
+    first orbit is in that set; no other block can be in the map.
 
     The SL quantities are computed whether or not sl_refusal admits the
     instance; callers decide whether they apply.  On an admitted instance
@@ -780,10 +753,15 @@ def block_counts(blocks, params: InstanceParams):
     label lies in C1.  When C1 = 1, every label stabilizer is 1 and
     kappa_b = 1: the squared stabilizer sums are the list lengths,
     kappa_divisibility and bijection_kappa_preserved hold, and no label is
-    built.  Otherwise kappa_b counts the z in C1 that fix every constraint
-    suborbit of the block, each compared by one twist_orbit walk with its
-    z-translate (_z_fixes_cycle).  A block with C1 != 1 scans its labels
-    under C1:
+    built.  Otherwise kappa_b = |C1 intersect C2|, C2 the z that fix every
+    constraint suborbit of the block setwise.  The stabilizer of one
+    suborbit, the orbit of its orbit representative under the step-fold
+    twist, is the subgroup of Z of order _center_stabilizer_order(N,
+    eq**step mod N, deg / gcd(step, deg), |Z|); Z is cyclic, so C2 is its
+    subgroup of order c2, the gcd of those orders (c2 = 0, C2 = Z, when no
+    slot has a constraint suborbit), and kappa_b is 1 plus the number of
+    z in C1 without the identity whose denominator divides c2.  A block with
+    C1 != 1 scans its labels under C1:
 
     * kappa_divisibility asks that kappa_b divide the stabilizer order of
       every symbol and weight symbol of the block.
@@ -840,9 +818,11 @@ def _kernel(counted, params: InstanceParams):
     gives the row; a failed-name set is built only when a check fails.
     Elsewhere kappa_b, the label scan under C1 and the SL divisions."""
     eq = params.eq
-    zs_rest = _twist_fixed_center(params).elements[1:]
+    center = _twist_fixed_center(params)
+    order = center.order
+    zs_rest = center.elements[1:]
     stabilizers = None
-    fixed_firsts = frozenset()
+    fixed_firsts = ()
     # The named tuples are built by tuple.__new__, as their _make builds
     # them, without the Python-level __new__ they have: on the per-block
     # path that call costs as much as the rest of building the tuple.
@@ -862,7 +842,7 @@ def _kernel(counted, params: InstanceParams):
         # the map is not in it.
         if stabilizers is None and triples[-1][0] != IDENTITY_ORBIT:
             stabilizers = _block_stabilizers(params)
-            fixed_firsts = _fixed_first_orbits(params)
+            fixed_firsts = {b.triples[0][0] for b in stabilizers}
         c1_rest = stabilizers.get(block) if triples[0][0] in fixed_firsts else None
 
         if c1_rest is None:
@@ -880,14 +860,19 @@ def _kernel(counted, params: InstanceParams):
             )
             continue
 
-        # kappa_b = |C1 intersect C2|, C2 the elements that fix every
-        # constraint suborbit of the block.
+        # kappa_b = |C1 intersect C2|, C2 the subgroup of order c2 that fixes
+        # every constraint suborbit of the block.
         failed = set(failed)
-        kappa_b = 1
-        steps = _block_steps(block, params)
-        for z in c1_rest:
-            if all(_z_fixes_cycle(z, rep, step, eq) for rep, step in steps):
-                kappa_b += 1
+        c2 = 0
+        for orb, m, lam in triples:
+            step = _suborbit_step(orb.size, m, sum(lam), params)
+            if step is not None:
+                den = orb.rep.den
+                size = orb.size // math.gcd(step, orb.size)
+                c2 = math.gcd(
+                    c2, _center_stabilizer_order(den, pow(eq, step, den), size, order)
+                )
+        kappa_b = 1 + sum(c2 % z.den == 0 for z in c1_rest)
         # Weight side first: stabilizers by weight symbol, so the
         # symbols can match into them.
         wt_stab: dict = {}

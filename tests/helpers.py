@@ -186,10 +186,9 @@ def report_order(report):
 
 
 def clear_symbol_caches():
-    """Drop what _slot_counts, _slot_records, _block_stabilizers and
-    _fixed_first_orbits hold, so that code planted under them, or undone,
-    is run again."""
+    """Drop what _slot_counts, _slot_records and _block_stabilizers hold,
+    so that code planted under them, or undone, is run again.  The kernel
+    keeps the first orbits of the stabilizer map for one run only."""
     symbols._slot_counts.cache_clear()
     symbols._slot_records.cache_clear()
     symbols._block_stabilizers.cache_clear()
-    symbols._fixed_first_orbits.cache_clear()

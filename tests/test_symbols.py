@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import math
 
 import pytest
 
@@ -772,8 +773,9 @@ def test_fixed_block_pass_matches_the_center_cycle_walk(monkeypatch):
         order = center_elements(params).order
         cycles = center_cycles(params)
         for orb, cycle in cycles.items():
+            den = orb.rep.den
             stab = symbols._center_stabilizer_order(
-                orb.rep.den, orb.size, params.eq, order
+                den, params.eq % den, orb.size, order
             )
             assert stab * len(cycle) == order
         translated.clear()
@@ -785,6 +787,53 @@ def test_fixed_block_pass_matches_the_center_cycle_walk(monkeypatch):
             assert order // z.den % len(cycles[orbit])
         nontrivial += bool(translated)
     assert nontrivial
+
+
+def test_center_stabilizer_order_counts_the_z_fixing_each_suborbit():
+    """The identity the kernel reads C2 from, on every twist orbit of every
+    n <= 4 grid instance and every step d in 1..n: with N the denominator
+    and deg the degree of the orbit,
+    _center_stabilizer_order(N, eq**d mod N, deg / gcd(d, deg), |Z|) is the
+    number of central z that map the reference suborbit(rep, d, eq) set
+    onto itself."""
+    cases = proper = 0
+    for params in grid_params((1, 2, 3, 4)):
+        eq = params.eq
+        center = center_elements(params)
+        for orb in enumerate_ellprime_orbits(params):
+            den = orb.rep.den
+            for d in range(1, params.n + 1):
+                sub = frozenset(suborbit(orb.rep, d, eq))
+                size = orb.size // math.gcd(d, orb.size)
+                assert len(sub) == size
+                fixing = sum(
+                    frozenset(center_act(z, x) for x in sub) == sub
+                    for z in center.elements
+                )
+                u = pow(eq, d, den)
+                stab = symbols._center_stabilizer_order(den, u, size, center.order)
+                assert stab == fixing
+                cases += 1
+                proper += 1 < fixing < center.order
+    assert cases == 42136 and proper
+
+
+def test_a_block_that_z_act_does_not_fix_raises(plant):
+    """The fixed-block pass builds every block of its map from
+    <1/r>-cycles, so 1/r must fix it: a z_act that moves every block symbol
+    makes run_instance raise."""
+    params = make_params(n=2, q=9, eps=-1, ell=7)
+    assert symbols._block_stabilizers(params)
+    real_z_act = symbols.z_act
+
+    def moves_blocks(z, sym, params):
+        if isinstance(sym, BlockSymbol):
+            return BlockSymbol(())
+        return real_z_act(z, sym, params)
+
+    plant(symbols, "z_act", moves_blocks)
+    with pytest.raises(InvariantViolationError, match="does not fix block"):
+        run_instance(params)
 
 
 def test_planted_size_changing_translate_raises(monkeypatch):
@@ -1012,12 +1061,12 @@ def test_to_weight_symbol_commutes_with_z_act():
 
 
 def test_kappa_divisibility_sees_a_planted_stabilizer(monkeypatch):
-    """Counting every element of C1 in C2 makes kappa_b = |C1|, which exceeds
-    the stabilizer of a center orbit meeting a block in two labels; the
-    kernel, run_instance and sl_block_report all report it."""
+    """Dropping every constraint suborbit makes C2 = Z and kappa_b = |C1|,
+    which exceeds the stabilizer of a center orbit meeting a block in two
+    labels; the kernel, run_instance and sl_block_report all report it."""
     params = make_params(n=4, q=5, eps=-1, ell=3)
     assert run_instance(params).checks["kappa_divisibility"]
-    monkeypatch.setattr(symbols, "_z_fixes_cycle", lambda *args: True)
+    monkeypatch.setattr(symbols, "_suborbit_step", lambda *args: None)
     bad = [
         counts
         for counts in block_counts(enumerate_block_symbols(params), params)

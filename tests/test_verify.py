@@ -633,3 +633,29 @@ def test_src_holds_no_test_only_code():
         and (module, node.name) != ("cli", "main")
     )
     assert unused == []
+
+
+def test_src_imports_only_names_it_uses():
+    """Every name a module of the package imports is named in that module
+    or listed in its __all__, so a deletion leaves no import behind.  A
+    from __future__ import binds no name."""
+    package = pathlib.Path(blockweights.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                named.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in bound if name not in named]
+    assert unused == []
