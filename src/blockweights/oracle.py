@@ -8,18 +8,26 @@ symbolically; cross_check compares both sides on one instance.
 
 GL is enumerated as the matrices of nonzero determinant, in lexicographic
 order; GU column by column as orthonormal frames; SL and SU keep the
-determinant one elements.  Neither the group nor its classes depend on ell,
-so class_profile computes each group's order and class representative
-orders once per process and every ell of that group reads them.
+determinant one elements.  The frame search lists once, for each unit
+vector v, the unit vectors u orthogonal to it, by solving <v, u> = 0 for
+one coordinate of u; a deeper column intersects these lists, so no
+Hermitian product is taken per pair.  Neither the group nor its classes
+depend on ell, so class_profile computes each group's order and class
+representative orders once per process and every ell of that group reads
+them.
 
-The closure and the conjugacy classes are searched over element indices,
-not matrices.  ElementIndex reads each matrix once as its row codes and its
-column codes (rows and columns as base-q integers).  Right multiplication
-by a generator g maps each row code through a table of q^n entries,
-T[v] = code(v g), left multiplication maps each column code through
-S[v] = code(g v), and the product is found by its codes in a dict.  The
-tables of g^-1 are the inverse permutations of those of g, so no inverse
-matrix is computed.  mat_mul remains for element_order.
+The representatives are the first element of each class in enumeration
+order, whatever the generating set; its length sets the cost of the class
+search, one conjugation per element per generator, and a strided greedy
+scan (generating_set) keeps it at two or three.  The closure and the
+classes are searched over element indices, not matrices.  ElementIndex
+reads each matrix once as its row codes and its column codes (rows and
+columns as base-q integers).  Right multiplication by a generator g maps
+each row code through a table of q^n entries, T[v] = code(v g), left
+multiplication maps each column code through S[v] = code(g v), and the
+product is found by its codes in a dict.  The tables of g^-1 are the
+inverse permutations of those of g, so no inverse matrix is computed.
+mat_mul remains for element_order.
 
 Field sizes are capped at p and p^2 for p <= 7 with fixed quadratic moduli,
 so results cannot drift with the choice of an irreducible polynomial.  Group
@@ -32,6 +40,7 @@ fast.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .arith import InstanceParams, make_params
@@ -41,6 +50,7 @@ from .verify import run_instance
 
 ORACLE_CAP = 300_000
 _MAX_N = 3
+_GOLDEN = (1 + 5**0.5) / 2
 
 # x^2 + c1*x + c0, irreducible over the prime field.
 _MODULI = {4: (2, 1, 1), 9: (3, 0, 1), 25: (5, 0, 3), 49: (7, 0, 1)}
@@ -188,8 +198,7 @@ def _enumerate_gl(F: TinyField, n: int, special: bool) -> list[tuple[int, ...]]:
 
 
 def _herm(F: TinyField, u_bar, v) -> int:
-    """The Hermitian form of u and v, from u_bar, the entrywise frob of u:
-    a column compared with many candidates is conjugated once."""
+    """The Hermitian form of u and v, from u_bar, the entrywise frob of u."""
     q, add, mul = F.q, F.add, F.mul
     acc = 0
     for a, b in zip(u_bar, v):
@@ -199,10 +208,12 @@ def _herm(F: TinyField, u_bar, v) -> int:
 
 def _enumerate_gu(F: TinyField, n: int) -> list[tuple[int, ...]]:
     """Every unitary n x n matrix, as its orthonormal frames of columns; each
-    depth takes the unit vectors orthogonal to the columns chosen so far."""
+    depth keeps those candidates of the depth above that _orthogonal_units
+    lists as orthogonal to the column just chosen, in unit vector order."""
     frob = F.frob
     vectors = itertools.product(range(F.q), repeat=n)
     unit = [v for v in vectors if _herm(F, [frob[x] for x in v], v) == 1]
+    orthogonal = _orthogonal_units(F, n, unit)
     out: list[tuple[int, ...]] = []
     cols: list[tuple[int, ...]] = []
 
@@ -211,16 +222,45 @@ def _enumerate_gu(F: TinyField, n: int) -> list[tuple[int, ...]]:
             # The last column: each candidate completes a frame, whose
             # rows are read across the columns.
             out.extend(
-                tuple(itertools.chain.from_iterable(zip(*cols, v))) for v in candidates
+                tuple(itertools.chain.from_iterable(zip(*cols, unit[i])))
+                for i in candidates
             )
             return
-        for v in candidates:
-            v_bar = [frob[x] for x in v]
-            cols.append(v)
-            extend([u for u in candidates if _herm(F, v_bar, u) == 0])
+        for i in candidates:
+            cols.append(unit[i])
+            extend(sorted(orthogonal[i].intersection(candidates)))
             cols.pop()
 
-    extend(unit)
+    extend(range(len(unit)))
+    return out
+
+
+def _orthogonal_units(F: TinyField, n: int, unit) -> list[set[int]]:
+    """For each unit vector v, the positions in unit of the unit vectors u
+    with <v, u> = 0, found with no Hermitian product per pair.  With j the
+    last coordinate where v is nonzero, <v, u> = 0 solves for
+    u_j = -sum_{k != j} frob(v_k) u_k / frob(v_j).  The unit vectors are
+    indexed by their coordinates other than j, so each v costs one sum per
+    index key (at most q^(n-1) keys), not one per unit vector."""
+    q, mul, add, frob = F.q, F.mul, F.add, F.frob
+    # index[j][u without u_j][u_j] is the position of u.
+    index: list[dict] = [{} for _ in range(n)]
+    for pos, u in enumerate(unit):
+        for j in range(n):
+            index[j].setdefault(u[:j] + u[j + 1 :], {})[u[j]] = pos
+    out = []
+    for v in unit:
+        j = max(k for k in range(n) if v[k])
+        scale = F.neg[F.inv[frob[v[j]]]]
+        coeffs = [mul[scale * q + frob[x]] for x in v[:j] + v[j + 1 :]]
+        hits = set()
+        for key, by_pivot in index[j].items():
+            t = 0
+            for c, x in zip(coeffs, key):
+                t = add[t * q + mul[c * q + x]]
+            if t in by_pivot:
+                hits.add(by_pivot[t])
+        out.append(hits)
     return out
 
 
@@ -330,11 +370,18 @@ def _inverse_table(table: list[int]) -> list[int]:
 
 def generating_set(index: ElementIndex) -> list:
     """Small deterministic generating set found greedily: each element not
-    yet in the closure joins it.  The closure grows by the old closure times
-    the new generator, then by each new element times every generator."""
+    yet in the closure joins it.  Elements are scanned at the indices
+    k s mod |G|, k = 1, ..., |G|, with s the first integer from |G|/phi
+    (phi the golden ratio) prime to |G|: consecutive picks lie far apart,
+    so the sparse matrices at the start of the list do not each add a
+    generator.  The closure grows by the old closure times the new
+    generator, then by each new element times every generator."""
     rows, by_rows, elements = index.rows, index.by_rows, index.elements
-    q, n = index.F.q, index.n
-    inside = bytearray(len(rows))
+    q, n, size = index.F.q, index.n, len(index.rows)
+    stride = max(1, round(size / _GOLDEN))
+    while math.gcd(stride, size) > 1:
+        stride += 1
+    inside = bytearray(size)
     gens: list = []
     tables: list[list[int]] = []
     # Every KeyError below is a product missing from by_rows.  The rows of
@@ -342,9 +389,10 @@ def generating_set(index: ElementIndex) -> list:
     try:
         members = [by_rows[tuple(q ** (n - 1 - i) for i in range(n))]]
         inside[members[0]] = 1
-        for x in range(len(rows)):
-            if len(members) == len(rows):
+        for k in range(1, size + 1):
+            if len(members) == size:
                 break
+            x = k * stride % size
             if inside[x]:
                 continue
             gens.append(elements[x])
@@ -362,7 +410,7 @@ def generating_set(index: ElementIndex) -> list:
                 frontier, step = fresh, tables
     except KeyError as err:
         raise index.missing(err.args[0], by_rows=True) from None
-    if len(members) != len(rows):
+    if len(members) != size:
         raise InvariantViolationError(f"{index.name}: generating set closure mismatch")
     return gens
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -199,6 +200,123 @@ def test_conjugacy_reps_are_deterministic():
     again = ElementIndex(F, 2, elems, "GU_2(2)")
     second = conjugacy_class_reps(again, generating_set(again))
     assert first == second
+
+
+def lexicographic_generating_set(index: ElementIndex) -> list:
+    """Reference greedy generating set: the elements scanned in enumeration
+    order, each one not yet in the closure joining it."""
+    rows, by_rows, elements = index.rows, index.by_rows, index.elements
+    q, n = index.F.q, index.n
+    inside = bytearray(len(rows))
+    members = [by_rows[tuple(q ** (n - 1 - i) for i in range(n))]]
+    inside[members[0]] = 1
+    gens: list = []
+    tables: list[list[int]] = []
+    for x in range(len(rows)):
+        if inside[x]:
+            continue
+        gens.append(elements[x])
+        tables.append(index.row_table(elements[x]))
+        frontier, step = members, tables[-1:]
+        while frontier:
+            fresh = []
+            for y in frontier:
+                for table in step:
+                    z = by_rows[tuple(map(table.__getitem__, rows[y]))]
+                    if not inside[z]:
+                        inside[z] = 1
+                        fresh.append(z)
+            members.extend(fresh)
+            frontier, step = fresh, tables
+    assert len(members) == len(rows)
+    return gens
+
+
+def _in_cap_groups(n: int):
+    """Every (kind, n, q) the oracle enumerates at this n."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 25, 49):
+        for kind in ("GL", "SL", "GU", "SU"):
+            try:
+                oracle._field_in_scope(kind, n, q)
+            except UnsupportedModeError:
+                continue
+            yield kind, n, q
+
+
+def test_class_reps_do_not_depend_on_the_generating_set():
+    """The representatives are the first element of each class in
+    enumeration order, so the strided generating set gives those of the
+    reference lexicographic one: checked on every in-cap group with n <= 2
+    and on six n = 3 groups.  The oracle-n3 groups keep their short sets;
+    the lexicographic scan took 4, 4, 5, 5, 3, 5 (26) generators."""
+    groups = [g for n in (1, 2) for g in _in_cap_groups(n)]
+    assert len(groups) == 44
+    groups += [(kind, 3, 2) for kind in ("GL", "SL", "GU", "SU")]
+    groups += [("GL", 3, 3), ("SL", 3, 3)]
+    counts = {}
+    for kind, n, q in groups:
+        F, elems = enumerate_matrix_group(kind, n, q)
+        index = ElementIndex(F, n, elems, f"{kind}_{n}({q})")
+        gens = generating_set(index)
+        counts[kind, n, q] = len(gens)
+        want = conjugacy_class_reps(index, lexicographic_generating_set(index))
+        assert conjugacy_class_reps(index, gens) == want, (kind, n, q)
+    assert max(counts.values()) == 3
+    oracle_n3 = [
+        counts[g]
+        for g in (("GL", 3, 3), ("SL", 3, 3), ("GU", 3, 2), ("SU", 3, 2), ("GL", 2, 7), ("GU", 2, 7))
+    ]
+    assert oracle_n3 == [2, 2, 2, 3, 3, 2]
+
+
+def pairwise_enumerate_gu(F: TinyField, n: int) -> list[tuple[int, ...]]:
+    """Reference frame search: each depth keeps the candidates whose
+    Hermitian product with the column just chosen is zero, one product per
+    pair."""
+    frob = F.frob
+    vectors = itertools.product(range(F.q), repeat=n)
+    unit = [v for v in vectors if oracle._herm(F, [frob[x] for x in v], v) == 1]
+    out: list[tuple[int, ...]] = []
+    cols: list[tuple[int, ...]] = []
+
+    def extend(candidates) -> None:
+        if len(cols) == n - 1:
+            out.extend(
+                tuple(itertools.chain.from_iterable(zip(*cols, v))) for v in candidates
+            )
+            return
+        for v in candidates:
+            v_bar = [frob[x] for x in v]
+            cols.append(v)
+            extend([u for u in candidates if oracle._herm(F, v_bar, u) == 0])
+            cols.pop()
+
+    extend(unit)
+    return out
+
+
+def test_gu_frames_match_the_pairwise_reference(monkeypatch):
+    """_enumerate_gu lists the frames of the pairwise reference in the same
+    order on all 10 in-cap GU groups, and takes one Hermitian product per
+    vector of F_q^n (its norm), none per pair of unit vectors."""
+    groups = [(n, q) for n in (1, 2, 3) for kind, _, q in _in_cap_groups(n) if kind == "GU"]
+    assert groups == [(n, q) for n in (1, 2) for q in (2, 3, 5, 7)] + [(3, 2), (3, 3)]
+    real = oracle._herm
+    calls = []
+
+    def counted(F, u_bar, v):
+        calls.append(1)
+        return real(F, u_bar, v)
+
+    for n, q in groups:
+        F = tiny_field(q * q)
+        want = pairwise_enumerate_gu(F, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_herm", counted)
+            calls.clear()
+            assert oracle._enumerate_gu(F, n) == want, (n, q)
+        assert len(calls) == F.q**n
+        assert len(want) == group_order("GU", n, q)
 
 
 def test_a_short_element_list_raises_naming_the_missing_product():
