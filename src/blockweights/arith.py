@@ -1,12 +1,12 @@
-"""Multiplicative orders, prime power parameters, and valuation helpers."""
+"""Multiplicative orders, prime factors, prime powers, and valuation helpers."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, InvariantViolationError
 
 # All enumerations are desk scale; configurations with q**n at or above this
 # bound are rejected up front instead of starting a hopeless run.  As q >= 2,
@@ -16,27 +16,40 @@ DESK_LIMIT = 2**DESK_EXPONENT
 
 
 def is_prime(m: int) -> bool:
-    """Trial division primality test, adequate for desk scale inputs."""
-    if m < 2:
-        return False
+    """Primality: m >= 2 is its own least prime factor."""
+    return m >= 2 and next(_trial_division(m)) == m
+
+
+@lru_cache(maxsize=None)
+def prime_factors(m: int) -> tuple[int, ...]:
+    """The distinct prime factors of m >= 1, ascending; cached, as a sweep
+    meets the same denominators at every instance of one q."""
+    if m < 1:
+        raise DomainError(f"expected a positive integer, got {m}")
+    return tuple(_trial_division(m))
+
+
+def _trial_division(m: int):
+    """Yield the distinct prime factors of m >= 1, ascending: the one
+    factorization of the package, adequate for desk scale inputs.  It is
+    lazy, so is_prime and prime_power_decomposition stop at the least
+    factor, and refuse a huge m with a small factor at once."""
     d = 2
     while d * d <= m:
         if m % d == 0:
-            return False
+            yield d
+            while m % d == 0:
+                m //= d
         d += 1
-    return True
+    if m > 1:
+        yield m
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:
     """Return (p, f) with q = p**f, p prime, f >= 1."""
     if q < 2:
         raise ConfigurationError(f"q must be at least 2, got {q}")
-    p = 2
-    while q % p != 0:
-        p += 1
-        if p * p > q:
-            p = q
-            break
+    p = next(_trial_division(q))
     f = 0
     rest = q
     while rest % p == 0:
@@ -48,7 +61,9 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
 
 
 def mult_order(b: int, m: int) -> int:
-    """Smallest t >= 1 with b**t == 1 (mod m); m = 1 gives 1."""
+    """Smallest t >= 1 with b**t == 1 (mod m); m = 1 gives 1.  The one walk
+    over the powers of a unit in the package: a unit returns to 1 within m
+    steps, so a walk that does not raises instead of hanging."""
     if m < 1:
         raise DomainError(f"modulus must be positive, got {m}")
     if m == 1:
@@ -59,6 +74,10 @@ def mult_order(b: int, m: int) -> int:
     t = 1
     x = b
     while x != 1:
+        if t == m:
+            raise InvariantViolationError(
+                f"the powers of {b} modulo {m} did not return to 1 in {m} steps"
+            )
         x = x * b % m
         t += 1
     return t

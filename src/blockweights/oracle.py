@@ -21,13 +21,15 @@ order, whatever the generating set; its length sets the cost of the class
 search, one conjugation per element per generator, and a strided greedy
 scan (generating_set) keeps it at two or three.  The closure and the
 classes are searched over element indices, not matrices.  ElementIndex
-reads each matrix once as its row codes and its column codes (rows and
-columns as base-q integers).  Right multiplication by a generator g maps
-each row code through a table of q^n entries, T[v] = code(v g), left
-multiplication maps each column code through S[v] = code(g v), and the
-product is found by its codes in a dict.  The tables of g^-1 are the
-inverse permutations of those of g, so no inverse matrix is computed.
-mat_mul remains for element_order.
+keeps one index: each matrix's row codes (rows as base-q integers), one
+dict from them back to the index, and the index of each element's
+transpose.  Right multiplication by a generator g maps each row code
+through a table of q^n entries, T[v] = code(v g), and the product is found
+by its codes in the dict.  A left product g w is the transpose of w^T g^T:
+the rows of w^T, read through the transpose list, go through
+S[v] = code(g v), and the transpose list maps the result back.  The tables
+of g^-1 are the inverse permutations of those of g, so no inverse matrix
+is computed.  mat_mul remains for element_order.
 
 Field sizes are capped at p and p^2 for p <= 7 with fixed quadratic moduli,
 so results cannot drift with the choice of an irreducible polynomial.  Group
@@ -300,12 +302,15 @@ def enumerate_matrix_group(kind: str, n: int, q: int) -> tuple[TinyField, list]:
 class ElementIndex:
     """The elements of one enumerated matrix group by their list index.
 
-    Each matrix is read once as its row codes and its column codes, where a
-    code is a vector of F_q^n read as a base-q integer, first entry most
-    significant; two dicts map the codes back to indices.  Multiplying by a
-    fixed matrix g is then a lookup per row or column in a table over
-    F_q^n (row_table, column_table), and the tables of g^-1 are the inverse
-    permutations of those of g.  name labels the group in errors.
+    Each matrix is read once as its row codes, where a code is a vector of
+    F_q^n read as a base-q integer, first entry most significant, and one
+    dict maps the codes back to indices.  transpose holds the index of each
+    element's transpose: its rows are the element's columns, and GL, SL, GU
+    and SU are closed under transposition, so a transpose missing from the
+    list raises here.  Multiplying by a fixed matrix g is then a lookup per
+    row in a table over F_q^n (row_table; column_table on the rows of the
+    transpose), and the tables of g^-1 are the inverse permutations of
+    those of g.  name labels the group in errors.
     """
 
     def __init__(self, F: TinyField, n: int, elements, name: str):
@@ -317,9 +322,12 @@ class ElementIndex:
         code = {v: c for c, v in enumerate(vectors)}
         row_codes = [[code[a[i : i + n]] for a in elements] for i in range(0, n * n, n)]
         self.rows = list(zip(*row_codes))
-        self.cols = list(zip(*[[code[a[j::n]] for a in elements] for j in range(n)]))
         self.by_rows = {r: i for i, r in enumerate(self.rows)}
-        self.by_cols = {c: i for i, c in enumerate(self.cols)}
+        col_codes = [[code[a[j::n]] for a in elements] for j in range(n)]
+        try:
+            self.transpose = [self.by_rows[c] for c in zip(*col_codes)]
+        except KeyError as err:
+            raise self.missing(err.args[0], by_rows=True) from None
 
     def row_table(self, g) -> list[int]:
         """T with T[v] = code(v g) for every row vector v, in code order:
@@ -417,9 +425,10 @@ def generating_set(index: ElementIndex) -> list:
 
 def conjugacy_class_reps(index: ElementIndex, gens) -> list:
     """One representative per conjugacy class, in enumeration order: a
-    breadth-first search over indices by z = g y g^-1, with y g^-1 read from
-    the rows of y and g (y g^-1) from the columns of y g^-1."""
-    rows, cols, by_rows, by_cols = index.rows, index.cols, index.by_rows, index.by_cols
+    breadth-first search over indices by z = g y g^-1, with w = y g^-1 read
+    from the rows of y and g w = (w^T g^T)^T from the rows of w^T, through
+    index.transpose."""
+    rows, by_rows, t = index.rows, index.by_rows, index.transpose
     pairs = [(index.column_table(g), _inverse_table(index.row_table(g))) for g in gens]
     seen = bytearray(len(rows))
     reps = []
@@ -438,7 +447,7 @@ def conjugacy_class_reps(index: ElementIndex, gens) -> list:
                     except KeyError as err:
                         raise index.missing(err.args[0], by_rows=True) from None
                     try:
-                        z = by_cols[tuple(map(left.__getitem__, cols[w]))]
+                        z = t[by_rows[tuple(map(left.__getitem__, rows[t[w]]))]]
                     except KeyError as err:
                         raise index.missing(err.args[0], by_rows=False) from None
                     if not seen[z]:

@@ -6,10 +6,11 @@ eps*q mod N.  All arithmetic is exact integer arithmetic on (num, den) pairs.
 
 The twist orbits of denominator N are the cosets of the subgroup generated by
 eps*q in the units mod N, so all of them have ord_N(eps*q) elements, and an
-orbit is kept as its least element and that size.  One walk, twist_orbit,
-finds that pair from any element, for the twist and for its powers: it
-canonicalizes orbits, translates them by central elements, and gives the
-constraint suborbits of the block stabilizer count.
+orbit is kept as its least element and that size.  twist_orbit finds that
+pair from any element, for the twist and for its powers: it canonicalizes
+orbits and translates them by central elements.  Unit orders come from
+arith.mult_order, the one walk over the powers of a unit, and prime factors
+from arith.prime_factors, both once per denominator in the enumeration.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import InstanceParams, ell_prime_part
+from .arith import InstanceParams, ell_prime_part, mult_order, prime_factors
 from .errors import DomainError, InvariantViolationError
 
 
@@ -64,9 +65,10 @@ def twist_orbit(sigma: RootLabel, eq: int, d: int = 1) -> FrobeniusOrbit:
     """The orbit of sigma under the d-fold twist sigma -> sigma**(eq**d), as
     (least element, size); d = 1 gives the twist orbit of sigma.
 
-    The walk runs over the numerators alone, multiplying by u = eq**d mod
-    den, and builds a label only for the least one.  u is a unit, so the
-    walk returns to sigma within den steps; one that does not raises.
+    With u = eq**d mod den, the orbit is num * <u>: its size is
+    arith.mult_order(u, den), and its least element the least
+    num * u**k mod den over k below that size.  Only that one is built as a
+    label.
     """
     if d < 1:
         raise DomainError(f"step must be at least 1, got {d}")
@@ -74,18 +76,8 @@ def twist_orbit(sigma: RootLabel, eq: int, d: int = 1) -> FrobeniusOrbit:
     if math.gcd(eq, den) != 1:
         raise DomainError(f"denominator {den} is not coprime to {eq}")
     u = pow(eq, d, den)
-    least = start
-    size = 1
-    num = start * u % den
-    while num != start:
-        if size == den:
-            raise InvariantViolationError(
-                f"the twist walk from {sigma} did not return in {den} steps"
-            )
-        if num < least:
-            least = num
-        size += 1
-        num = num * u % den
+    size = mult_order(u, den)
+    least = min(start * pow(u, k, den) % den for k in range(size))
     return FrobeniusOrbit(RootLabel(den, least), size)
 
 
@@ -96,10 +88,7 @@ def orbit_of(sigma: RootLabel, params: InstanceParams) -> FrobeniusOrbit:
 
 def center_act(z: RootLabel, sigma: RootLabel) -> RootLabel:
     """Multiply by the central element z: fraction addition modulo 1."""
-    den = z.den * sigma.den
-    num = (z.num * sigma.den + sigma.num * z.den) % den
-    g = math.gcd(num, den)
-    return RootLabel(den // g, num // g)
+    return root_label(z.num * sigma.den + sigma.num * z.den, z.den * sigma.den)
 
 
 def translate_orbit(z: RootLabel, orbit: FrobeniusOrbit, eq: int) -> FrobeniusOrbit:
@@ -144,17 +133,17 @@ def twist_modulus(d: int, params: InstanceParams) -> int:
 def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, ...]:
     """All twist orbits of ell'-labels of degree at most n, sorted canonically.
 
-    Per denominator den, the orbits are the cosets num * <eq> of the units:
-    the multiples of each prime factor of den are struck out first, then
-    each numerator not yet met, ascending, is a unit and the least element
-    of its coset, which is then marked met.  The denominators and then the
-    numerators ascend, so the orbits come sorted by representative; den = 1
-    gives the identity, num = 0.  The prime factors of den are denominators
-    too (the denominators are the divisors of the moduli), so they are the
-    primes met so far that divide it.  Cached for the last instance only:
-    symbols runs its block walk over these orbits, and its fixed-block pass
-    reads them per denominator and runs the same block walk over cycles of
-    them, both for one instance; the next instance replaces the entry.
+    Per denominator den, the orbits are the cosets num * <eq> of the units,
+    all of size mult_order(eq, den): the multiples of each prime factor of
+    den (arith.prime_factors) are struck out first, then each numerator not
+    yet met, ascending, is a unit and the least element of its coset, which
+    is then marked met.  The powers of eq and the factors are found once per
+    denominator.  The denominators and then the numerators ascend, so the
+    orbits come sorted by representative; den = 1 gives the identity,
+    num = 0.  Cached for the last instance only: symbols runs its block walk
+    over these orbits, and its fixed-block pass reads them per denominator
+    and runs the same block walk over cycles of them, both for one
+    instance; the next instance replaces the entry.
     """
     eq = params.eq
     dens: set[int] = set()
@@ -162,23 +151,15 @@ def enumerate_ellprime_orbits(params: InstanceParams) -> tuple[FrobeniusOrbit, .
         modulus = ell_prime_part(twist_modulus(d, params), params.ell)
         dens.update(_divisors(modulus))
     orbits: list[FrobeniusOrbit] = []
-    primes: list[int] = []
     for den in sorted(dens):
-        powers = [1 % den]
-        u = eq % den
-        while u != powers[0]:
-            powers.append(u)
-            u = u * eq % den
-        factors = [p for p in primes if den % p == 0]
-        if den > 1 and not factors:
-            primes.append(den)
-            factors = [den]
+        size = mult_order(eq, den)
+        powers = [pow(eq, k, den) for k in range(size)]
         seen = bytearray(den)
-        for p in factors:
+        for p in prime_factors(den):
             seen[::p] = b"\x01" * len(range(0, den, p))
         num = seen.find(0)
         while num != -1:
-            orbits.append(FrobeniusOrbit(RootLabel(den, num), len(powers)))
+            orbits.append(FrobeniusOrbit(RootLabel(den, num), size))
             for u in powers:
                 seen[num * u % den] = 1
             num = seen.find(0, num + 1)

@@ -74,7 +74,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import InstanceParams, e_gamma, ell_part, is_prime
+from .arith import InstanceParams, e_gamma, ell_part, mult_order, prime_factors
 from .errors import DomainError, InvariantViolationError, UnsupportedModeError
 from .partitions import (
     Partition,
@@ -95,7 +95,6 @@ from .semisimple import (
     FrobeniusOrbit,
     IDENTITY,
     RootLabel,
-    _divisors,
     act_on_orbit,
     center_elements,
     enumerate_ellprime_orbits,
@@ -379,27 +378,25 @@ def kappa_block(block: BlockSymbol, params: InstanceParams) -> int:
 # <z>-cycles of orbits with one (m, lam) on all the orbits of a cycle.
 
 
-def _center_stabilizer_order(den: int, u: int, size: int, order: int) -> int:
+def _center_stabilizer_order(den: int, u: int, order: int) -> int:
     """The order of the stabilizer, in the center Z of order `order`, of the
-    orbit of a unit a/N, N = den, under multiplication by the unit u mod N,
-    of period size: with u = eq the twist orbits of denominator N and degree
-    size, with u = eq**step the constraint suborbits of that step.
+    orbit of a unit a/N, N = den, under multiplication by the unit u mod N:
+    with u = eq the twist orbits of denominator N, with u = eq**step the
+    constraint suborbits of that step.
 
     Z is fixed by the twist (_twist_fixed_center), so z maps that orbit onto
     the orbit of z + a/N, and fixes it exactly when z + a/N lies in it: when
-    z + a/N = a u**k / N for some k < size, that is z = a (u**k - 1) / N
-    mod 1.  That is an element of Z, the multiples of 1 / |Z|, exactly when
-    N divides a (u**k - 1) |Z|, or (u**k - 1) |Z| as a is a unit mod N, and
-    distinct k give distinct z.  So the order counts the k < size with
-    N | (u**k - 1) |Z|, whatever a is.  Z is cyclic, so the stabilizer is
-    its subgroup of that order, the z whose denominator divides it."""
-    count = 0
-    power = 1 % den
-    for _ in range(size):
-        if (power - 1) * order % den == 0:
-            count += 1
-        power = power * u % den
-    return count
+    z + a/N = a u**k / N for some k below the period ord_N(u), that is
+    z = a (u**k - 1) / N mod 1.  That is an element of Z, the multiples of
+    1 / |Z|, exactly when N divides a (u**k - 1) |Z|, or (u**k - 1) |Z| as a
+    is a unit mod N, and distinct k give distinct z.  With g = gcd(N, |Z|),
+    N / g and |Z| / g are coprime, so N | (u**k - 1) |Z| exactly when
+    u**k = 1 mod N / g: the k counted are the multiples of ord_{N/g}(u),
+    which divides ord_N(u), and there are ord_N(u) / ord_{N/g}(u) of them,
+    whatever a is.  Both orders come from arith.mult_order.  Z is cyclic, so
+    the stabilizer is its subgroup of that order, the z whose denominator
+    divides it."""
+    return mult_order(u, den) // mult_order(u, den // math.gcd(den, order))
 
 
 def _twist_fixed_center(params: InstanceParams):
@@ -431,13 +428,14 @@ def _block_stabilizers(
     element maps twist orbits onto twist orbits of the same size, and the
     <1/r>-cycles below are cycles of orbits.
 
-    The stabilizer of a twist orbit in the cyclic Z is its subgroup of
-    order s(N) = _center_stabilizer_order(N, eq, degree, |Z|), which depends
-    on the denominator N alone and is computed once per N, so 1/r fixes the
-    orbit exactly when r divides s(N); such an orbit is a one-orbit
-    <1/r>-cycle.  An orbit that 1/r moves lies on a <1/r>-cycle of r orbits,
-    which a block fixed by 1/r holds whole, so only those of degree at most
-    n / r can be in one: translate_orbit walks their cycles, checking the
+    The primes r are those of arith.prime_factors(|Z|).  The stabilizer of
+    a twist orbit in the cyclic Z is its subgroup of order
+    s(N) = _center_stabilizer_order(N, eq, |Z|), which depends on the
+    denominator N alone and is computed once per N, so 1/r fixes the orbit
+    exactly when r divides s(N); such an orbit is a one-orbit <1/r>-cycle.
+    An orbit that 1/r moves lies on a <1/r>-cycle of r orbits, which a
+    block fixed by 1/r holds whole, so only those of degree at most n / r
+    can be in one: translate_orbit walks their cycles, checking the
     size of every translate and that the cycle closes after exactly r steps.
     The blocks fixed by 1/r come from the block walk over the <1/r>-cycles,
     each of weight its length times its degree: a slot (cycle, m, lam) puts
@@ -453,14 +451,14 @@ def _block_stabilizers(
         return {}
     eq = params.eq
     n = params.n
-    primes = [r for r in _divisors(order) if is_prime(r)]
+    primes = prime_factors(order)
     cycles: dict[int, list] = {r: [] for r in primes}
     walked: set = set()
     den = stab = 0
     for orb in enumerate_ellprime_orbits(params):
         if orb.rep.den != den:
             den = orb.rep.den
-            stab = _center_stabilizer_order(den, eq % den, orb.size, order)
+            stab = _center_stabilizer_order(den, eq, order)
         for r in primes:
             if stab % r == 0:
                 cycles[r].append((orb,))
@@ -757,11 +755,12 @@ def block_counts(blocks, params: InstanceParams):
     constraint suborbit of the block setwise.  The stabilizer of one
     suborbit, the orbit of its orbit representative under the step-fold
     twist, is the subgroup of Z of order _center_stabilizer_order(N,
-    eq**step mod N, deg / gcd(step, deg), |Z|); Z is cyclic, so C2 is its
-    subgroup of order c2, the gcd of those orders (c2 = 0, C2 = Z, when no
-    slot has a constraint suborbit), and kappa_b is 1 plus the number of
-    z in C1 without the identity whose denominator divides c2.  A block with
-    C1 != 1 scans its labels under C1:
+    eq**step, |Z|), the closed form ord_N(u) / ord_{N/gcd(N, |Z|)}(u) at
+    u = eq**step proved there, both orders by arith.mult_order.  Z is
+    cyclic, so C2 is its subgroup of order c2, the gcd of those orders
+    (c2 = 0, C2 = Z, when no slot has a constraint suborbit), and kappa_b
+    is 1 plus the number of z in C1 without the identity whose denominator
+    divides c2.  A block with C1 != 1 scans its labels under C1:
 
     * kappa_divisibility asks that kappa_b divide the stabilizer order of
       every symbol and weight symbol of the block.
@@ -867,11 +866,7 @@ def _kernel(counted, params: InstanceParams):
         for orb, m, lam in triples:
             step = _suborbit_step(orb.size, m, sum(lam), params)
             if step is not None:
-                den = orb.rep.den
-                size = orb.size // math.gcd(step, orb.size)
-                c2 = math.gcd(
-                    c2, _center_stabilizer_order(den, pow(eq, step, den), size, order)
-                )
+                c2 = math.gcd(c2, _center_stabilizer_order(orb.rep.den, eq**step, order))
         kappa_b = 1 + sum(c2 % z.den == 0 for z in c1_rest)
         # Weight side first: stabilizers by weight symbol, so the
         # symbols can match into them.

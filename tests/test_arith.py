@@ -13,6 +13,7 @@ from blockweights.arith import (
     is_prime,
     make_params,
     mult_order,
+    prime_factors,
     prime_power_decomposition,
 )
 from blockweights.errors import ConfigurationError, DomainError
@@ -31,6 +32,62 @@ def test_is_prime_small():
     assert not is_prime(0)
     assert not is_prime(1)
     assert not is_prime(-7)
+
+
+def sieve(limit: int) -> bytearray:
+    """Reference primality by the sieve of Eratosthenes: flags[m] for
+    m <= limit."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
+
+
+def test_prime_factors_match_a_sieve_reference():
+    """For every m <= 5000, the prime factors are the sieved primes that
+    divide m, ascending, and is_prime agrees with the sieve."""
+    limit = 5000
+    flags = sieve(limit)
+    primes = [p for p in range(limit + 1) if flags[p]]
+    for m in range(1, limit + 1):
+        assert prime_factors(m) == tuple(p for p in primes if m % p == 0), m
+        assert is_prime(m) == bool(flags[m])
+    for bad in (0, -1, -12):
+        with pytest.raises(DomainError):
+            prime_factors(bad)
+
+
+SIEVE_TO_3000 = sieve(3000)
+
+
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3000))
+def test_prime_factors_recompose_and_multiply(a, b):
+    """The factors of a are primes, ascending, whose powers make up a; the
+    factors of a * b are those of a and of b together."""
+    factors = prime_factors(a)
+    assert list(factors) == sorted(set(factors))
+    assert all(SIEVE_TO_3000[p] for p in factors)
+    rest = a
+    for p in factors:
+        assert rest % p == 0
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1
+    assert prime_factors(a * b) == tuple(sorted({*factors, *prime_factors(b)}))
+
+
+def test_a_huge_composite_is_refused_at_its_least_factor():
+    """is_prime and prime_power_decomposition stop at the least prime
+    factor, so 2 (2**61 - 1), from the command line, is refused at once;
+    factoring it whole by trial division would take minutes."""
+    huge = 2 * (2**61 - 1)
+    start = time.perf_counter()
+    assert not is_prime(huge)
+    with pytest.raises(ConfigurationError, match="not a prime power"):
+        prime_power_decomposition(huge)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_prime_power_decomposition_known():

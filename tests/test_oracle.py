@@ -65,6 +65,10 @@ def _codes(q: int, n: int, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
+def _transposed(a, n: int) -> tuple[int, ...]:
+    return tuple(x for j in range(n) for x in a[j::n])
+
+
 def _inverse_by_powers(F: TinyField, n: int, g):
     """g^-1 as the last power of g before the identity."""
     last, power = mat_identity(n), g
@@ -82,9 +86,11 @@ def test_matrix_helpers():
     prod_det = mat_det(F, mat_mul(F, a, b, 2), 2)
     assert prod_det == F.mul[mat_det(F, a, 2) * 5 + mat_det(F, b, 2)]
     # The vector tables of ElementIndex multiply as mat_mul does, x g by the
-    # rows of x and g x by its columns, and the inverse permutation of a
-    # table is the table of the inverse matrix: checked on every pair of
-    # elements of GL_2(3) and GU_2(2), and on a fixed sample of GL_3(q).
+    # rows of x and g x by its columns, the inverse permutation of a table
+    # is the table of the inverse matrix, and the transpose of each element
+    # is listed, its rows the element's columns: checked on every pair of
+    # elements of GL_2(3) and GU_2(2), and on a fixed sample of GL_3(q)
+    # closed under transposition.
     groups = [
         enumerate_matrix_group(kind, n, q) + (n,)
         for kind, n, q in (("GL", 2, 3), ("GU", 2, 2))
@@ -96,12 +102,14 @@ def test_matrix_helpers():
         while len(sample) < 30:
             g = tuple(rng.randrange(q) for _ in range(9))
             if mat_det(F, g, 3):
-                sample.append(g)
+                sample.extend(h for h in (g, _transposed(g, 3)) if h not in sample)
         groups.append((F, sample, 3))
     for F, elements, n in groups:
         index = ElementIndex(F, n, elements, "sample")
         for i, g in enumerate(elements):
-            assert (index.rows[i], index.cols[i]) == _codes(F.q, n, g)
+            t = index.transpose[i]
+            assert (index.rows[i], index.rows[t]) == _codes(F.q, n, g)
+            assert elements[t] == _transposed(g, n)
             right, left = index.row_table(g), index.column_table(g)
             for x in elements:
                 rows, cols = _codes(F.q, n, x)
@@ -320,20 +328,36 @@ def test_gu_frames_match_the_pairwise_reference(monkeypatch):
 
 
 def test_a_short_element_list_raises_naming_the_missing_product():
-    """With one element left out of the list, some product of listed
-    elements is the missing one: the closure and the conjugation search both
-    raise and name it, where a silent skip would count classes wrongly."""
+    """With one element left out of the list, the list is not the group,
+    and the oracle raises naming the missing element, where a silent skip
+    would count classes wrongly.  Left out with its transpose listed, the
+    index raises when it is built; left out a symmetric, non-central
+    element, some product of listed elements is the missing one, and the
+    closure and the conjugation search both raise and name it."""
     F, elems = enumerate_matrix_group("GL", 2, 3)
-    gens = generating_set(ElementIndex(F, 2, elems, "GL_2(3)"))
-    short = ElementIndex(F, 2, elems[:5] + elems[6:], "GL_2(3)")
-    message = re.escape(f"GL_2(3): the product {elems[5]} is not among the 47 elements")
-    with pytest.raises(InvariantViolationError, match=message):
+    index = ElementIndex(F, 2, elems, "GL_2(3)")
+    gens = generating_set(index)
+
+    def message(a):
+        return re.escape(f"GL_2(3): the product {a} is not among the 47 elements")
+
+    assert _transposed(elems[5], 2) != elems[5]
+    with pytest.raises(InvariantViolationError, match=message(elems[5])):
+        ElementIndex(F, 2, elems[:5] + elems[6:], "GL_2(3)")
+    k = next(
+        k
+        for k, a in enumerate(elems)
+        if a == _transposed(a, 2) and a != (a[0], 0, 0, a[0])
+    )
+    short = ElementIndex(F, 2, elems[:k] + elems[k + 1 :], "GL_2(3)")
+    with pytest.raises(InvariantViolationError, match=message(elems[k])):
         generating_set(short)
-    with pytest.raises(InvariantViolationError, match=message):
+    with pytest.raises(InvariantViolationError, match=message(elems[k])):
         conjugacy_class_reps(short, gens)
-    for i, a in enumerate(short.elements):
-        for codes, by_rows in ((short.rows[i], True), (short.cols[i], False)):
-            assert f"product {a} is" in str(short.missing(codes, by_rows))
+    for i, a in enumerate(elems):
+        columns = index.rows[index.transpose[i]]
+        for codes, by_rows in ((index.rows[i], True), (columns, False)):
+            assert f"product {a} is" in str(index.missing(codes, by_rows))
 
 
 def ell_regular_class_count(F: TinyField, n: int, elements, ell: int) -> tuple[int, int]:

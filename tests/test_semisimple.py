@@ -4,7 +4,7 @@ import types
 import pytest
 from hypothesis import given, strategies as st
 
-from blockweights import semisimple
+from blockweights import arith, semisimple
 from blockweights.arith import ell_prime_part, make_params, mult_order
 from blockweights.errors import DomainError, InvariantViolationError
 from blockweights.semisimple import (
@@ -168,11 +168,16 @@ def test_suborbit_refuses_a_denominator_not_prime_to_eq():
 
 
 def test_suborbit_walk_is_bounded_by_its_denominator(monkeypatch):
-    """With the coprimality check of twist_orbit bypassed, the walk from 1/2
-    under eq = 4 falls to 0/2 and stays there; it stops after den steps and
-    raises instead of hanging."""
-    monkeypatch.setattr(semisimple, "math", types.SimpleNamespace(gcd=lambda a, b: 1))
-    with pytest.raises(InvariantViolationError, match="did not return in 2 steps"):
+    """With the coprimality checks of arith.mult_order and twist_orbit
+    bypassed, the powers of 0 modulo 2 stay at 0 and never return to 1:
+    mult_order stops after m steps and raises instead of hanging, and so
+    does the twist walk from 1/2 under eq = 4, whose orbit size it reads."""
+    coprime = types.SimpleNamespace(gcd=lambda a, b: 1)
+    monkeypatch.setattr(arith, "math", coprime)
+    monkeypatch.setattr(semisimple, "math", coprime)
+    with pytest.raises(InvariantViolationError, match="did not return to 1 in 2 steps"):
+        mult_order(0, 2)
+    with pytest.raises(InvariantViolationError, match="did not return to 1 in 2 steps"):
         twist_orbit(root_label(1, 2), 4)
 
 

@@ -774,9 +774,7 @@ def test_fixed_block_pass_matches_the_center_cycle_walk(monkeypatch):
         cycles = center_cycles(params)
         for orb, cycle in cycles.items():
             den = orb.rep.den
-            stab = symbols._center_stabilizer_order(
-                den, params.eq % den, orb.size, order
-            )
+            stab = symbols._center_stabilizer_order(den, params.eq, order)
             assert stab * len(cycle) == order
         translated.clear()
         clear_symbol_caches()
@@ -792,10 +790,9 @@ def test_fixed_block_pass_matches_the_center_cycle_walk(monkeypatch):
 def test_center_stabilizer_order_counts_the_z_fixing_each_suborbit():
     """The identity the kernel reads C2 from, on every twist orbit of every
     n <= 4 grid instance and every step d in 1..n: with N the denominator
-    and deg the degree of the orbit,
-    _center_stabilizer_order(N, eq**d mod N, deg / gcd(d, deg), |Z|) is the
+    of the orbit, _center_stabilizer_order(N, eq**d mod N, |Z|) is the
     number of central z that map the reference suborbit(rep, d, eq) set
-    onto itself."""
+    onto itself, a set of deg / gcd(d, deg) elements, deg the degree."""
     cases = proper = 0
     for params in grid_params((1, 2, 3, 4)):
         eq = params.eq
@@ -811,7 +808,7 @@ def test_center_stabilizer_order_counts_the_z_fixing_each_suborbit():
                     for z in center.elements
                 )
                 u = pow(eq, d, den)
-                stab = symbols._center_stabilizer_order(den, u, size, center.order)
+                stab = symbols._center_stabilizer_order(den, u, center.order)
                 assert stab == fixing
                 cases += 1
                 proper += 1 < fixing < center.order
