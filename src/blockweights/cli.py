@@ -1,9 +1,9 @@
 """Command line front end.
 
-verify: enumerate and check a grid of (n, q, eps, ell) instances, printing
-each instance's ok/FAIL verdict on stderr as it finishes, then emit a JSON or
-CSV report in (n, q, eps, ell) order.  oracle: compare the symbolic count
-against the brute force matrix group on one small instance.
+verify: check a grid of (n, q, eps, ell) instances in that order, printing
+each verdict on stderr and spooling each report to a temporary file as the
+instance finishes, then copy the JSON or CSV report to stdout or --out.
+oracle: cross check one small instance against its brute force matrix group.
 
 Exit codes: 0 all checks passed, 1 a check or internal invariant failed,
 2 the request itself was invalid or unsupported.
@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import stat
 import sys
+import tempfile
 
 from .arith import make_params, prime_power_decomposition
 from .errors import (
@@ -25,7 +27,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .oracle import cross_check
-from .verify import iter_grid, reports_to_csv, reports_to_json
+from .verify import iter_grid, write_csv, write_json
 
 
 # The most values one --n, --q or --ell list may hold.  A range is measured
@@ -148,29 +150,32 @@ def _cmd_verify(args) -> int:
             raise ConfigurationError(
                 f"cannot write {args.out}: {exc.strerror or exc}"
             ) from None
-    done = False
-    try:
-        reports = []
-        failed = 0
-        for report in iter_grid(param_list, unipotent_only=args.unipotent_only):
+    failed = []
+
+    def verdicts(reports):
+        # Print each instance's verdict as it passes on to the writer.
+        for report in reports:
             p = report.params
             status = "ok" if report.all_passed else "FAIL"
             if not report.all_passed:
-                failed += 1
+                failed.append(p)
             print(
                 f"{status}: n={p.n} q={p.q} eps={p.eps:+d} ell={p.ell}"
                 f" blocks={report.totals['blocks']}",
                 file=sys.stderr,
             )
-            reports.append(report)
-        text = (
-            reports_to_json(reports)
-            if args.format == "json"
-            else reports_to_csv(reports)
-        )
-        if out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-            out.truncate(0)
-        out.write(text)
+            yield report
+
+    write = write_json if args.format == "json" else write_csv
+    done = False
+    try:
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            reports = iter_grid(param_list, unipotent_only=args.unipotent_only)
+            write(verdicts(reports), spool)
+            if out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(0)
+            spool.seek(0)
+            shutil.copyfileobj(spool, out)
         done = True
     finally:
         if out is not sys.stdout:

@@ -7,10 +7,10 @@ eps*q mod N.  All arithmetic is exact integer arithmetic on (num, den) pairs.
 The twist orbits of denominator N are the cosets of the subgroup generated by
 eps*q in the units mod N, so all of them have ord_N(eps*q) elements, and an
 orbit is kept as its least element and that size.  twist_orbit finds that
-pair from any element, for the twist and for its powers: it canonicalizes
-orbits and translates them by central elements.  Unit orders come from
-arith.mult_order, the one walk over the powers of a unit, and prime factors
-from arith.prime_factors, both once per denominator in the enumeration.
+pair from any element: it canonicalizes orbits and translates them by
+central elements.  Unit orders come from arith.mult_order, the one walk over
+the powers of a unit, and prime factors from arith.prime_factors, both once
+per denominator in the enumeration.
 """
 
 from __future__ import annotations
@@ -61,23 +61,20 @@ class FrobeniusOrbit(NamedTuple):
     size: int
 
 
-def twist_orbit(sigma: RootLabel, eq: int, d: int = 1) -> FrobeniusOrbit:
-    """The orbit of sigma under the d-fold twist sigma -> sigma**(eq**d), as
-    (least element, size); d = 1 gives the twist orbit of sigma.
+def twist_orbit(sigma: RootLabel, eq: int) -> FrobeniusOrbit:
+    """The orbit of sigma under the twist sigma -> sigma**eq, as (least
+    element, size).
 
-    With u = eq**d mod den, the orbit is num * <u>: its size is
-    arith.mult_order(u, den), and its least element the least
-    num * u**k mod den over k below that size.  Only that one is built as a
-    label.
+    The orbit is num * <eq> in the units mod den: its size is
+    arith.mult_order(eq, den), and its least element the least
+    num * eq**k mod den over k below that size.  Only that one is built as
+    a label.
     """
-    if d < 1:
-        raise DomainError(f"step must be at least 1, got {d}")
     den, start = sigma
     if math.gcd(eq, den) != 1:
         raise DomainError(f"denominator {den} is not coprime to {eq}")
-    u = pow(eq, d, den)
-    size = mult_order(u, den)
-    least = min(start * pow(u, k, den) % den for k in range(size))
+    size = mult_order(eq, den)
+    least = min(start * pow(eq, k, den) % den for k in range(size))
     return FrobeniusOrbit(RootLabel(den, least), size)
 
 

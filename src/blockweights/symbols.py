@@ -131,7 +131,8 @@ def _validate_orbit(orbit: FrobeniusOrbit, params: InstanceParams) -> None:
     den = orbit.rep.den
     if den % params.p == 0 or math.gcd(den, params.ell) != 1:
         raise DomainError(f"orbit denominator {den} is not prime to p*ell")
-    if twist_orbit(orbit.rep, params.eq) != orbit:
+    # Canonical: a reduced fraction, the least element of its twist orbit.
+    if math.gcd(*orbit.rep) != 1 or twist_orbit(orbit.rep, params.eq) != orbit:
         raise DomainError(f"{orbit.rep} does not represent a canonical orbit")
 
 

@@ -38,19 +38,19 @@ them comes a dictionary of named equality checks:
   A remainder in any of the three divisions fails the check, as one in a
   per-block division fails sl_blockwise_awc.
 
-Reports serialize to JSON or CSV with fully deterministic bytes.  The JSON
-layout is written out by hand in reports_to_json and its templates, straight
-from the report rows.  Its bytes equal json.dumps(..., indent=2,
-sort_keys=True) + "\n" of the nested dicts that report_to_jsonable, the
-reference kept in tests/test_verify.py, builds; with an indent json.dumps runs
-its pure-Python encoder, several times slower.
+Reports serialize to JSON or CSV with fully deterministic bytes, written by
+write_json and write_csv into a text file one report at a time, keeping
+nothing of a report once it is written.  The JSON layout is written out by
+hand, straight from the report rows.  Its bytes equal json.dumps(...,
+indent=2, sort_keys=True) + "\n" of the nested dicts that report_to_jsonable,
+the reference kept in tests/test_verify.py, builds; with an indent json.dumps
+runs its pure-Python encoder, several times slower.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
-import io
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -164,11 +164,11 @@ def run_instance(
 
 def iter_grid(param_list, unipotent_only: bool = False):
     """Yield one report per instance in (n, q, eps, ell) order, the order in
-    which the reports are written.  Streaming: callers that only need the
-    check flags can drop each report before the next is built.  A cache
-    keyed by the parameters of an instance keeps the current instance only;
-    those keyed by slot shape or by orbit translation are shared by all
-    instances and never cleared."""
+    which the reports are written.  Streaming: a caller, as the writers do,
+    can drop each report before the next is built.  A cache keyed by the
+    parameters of an instance keeps the current instance only; those keyed
+    by slot shape or by orbit translation are shared by all instances and
+    never cleared."""
     for params in sorted(param_list, key=lambda p: (p.n, p.q, p.eps, p.ell)):
         yield run_instance(params, unipotent_only)
 
@@ -249,7 +249,7 @@ def _triple_json(orb, m: int, lam) -> str:
 
 def _report_parts(report: InstanceReport):
     """Yield the JSON text of one report in pieces, one per block, so that
-    the text of a large report is copied once, when the pieces are joined."""
+    a large report is written without building its whole text."""
     p = report.params
     refusal = report.totals["sl_refused"]
     refused = _SL_REFUSED % json.dumps(refusal)
@@ -274,15 +274,14 @@ def _report_parts(report: InstanceReport):
     )
 
 
-def reports_to_json(reports) -> str:
-    parts = ["["]
+def write_json(reports, out) -> None:
+    out.write("[")
     sep = "\n  "
     for report in reports:
-        parts.append(sep)
-        parts.extend(_report_parts(report))
+        out.write(sep)
+        out.writelines(_report_parts(report))
         sep = ",\n  "
-    parts.append("\n]\n" if len(parts) > 1 else "]\n")
-    return "".join(parts)
+    out.write("]\n" if sep == "\n  " else "\n]\n")
 
 
 CSV_FIELDS = (
@@ -316,9 +315,8 @@ def _triple_csv(orb, m: int, lam) -> str:
     )
 
 
-def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def write_csv(reports, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for report in reports:
         p = report.params
@@ -335,4 +333,3 @@ def reports_to_csv(reports) -> str:
                 (p.n, p.q, p.eps, p.ell, label, row.ibr, row.weights, row.kappa_b)
                 + sl_cols
             )
-    return buf.getvalue()

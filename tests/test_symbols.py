@@ -11,6 +11,8 @@ from blockweights.errors import DomainError, InvariantViolationError, Unsupporte
 from blockweights.partitions import count_with_core, distinct_cores, enumerate_with_core
 from blockweights.semisimple import (
     IDENTITY,
+    FrobeniusOrbit,
+    RootLabel,
     center_act,
     center_elements,
     enumerate_ellprime_orbits,
@@ -263,6 +265,28 @@ def test_weight_constructor_validates():
             weight_symbol([base + (CoreFunction(entries),)], p45)
         with pytest.raises(DomainError):
             from_weight_symbol(WeightSymbol((base + (CoreFunction(entries),),)), p45)
+
+
+@pytest.mark.parametrize("num, den", [(1, 2), (2, 4), (0, 1), (0, 2)])
+def test_constructors_take_reduced_representatives_only(num, den):
+    """An orbit representative is canonical only as a reduced fraction, the
+    identity as 0/1: 2/4 and 0/2 are least in their twist orbits at
+    n=1 q=5 eps=+1 ell=3 (every orbit has size 1), yet the three label
+    constructors refuse them and take 1/2 and 0/1."""
+    params = make_params(n=1, q=5, eps=1, ell=3)
+    rep = FrobeniusOrbit(RootLabel(den, num), 1)
+    build = (
+        lambda: admissible_symbol([(rep, (1,))], params),
+        lambda: block_symbol([(rep, 1, (1,))], params),
+        lambda: weight_symbol([(rep, 1, (1,), CoreFunction(()))], params),
+    )
+    if math.gcd(num, den) == 1:
+        for constructor in build:
+            constructor()
+    else:
+        for constructor in build:
+            with pytest.raises(DomainError, match="canonical orbit"):
+                constructor()
 
 
 def is_unipotent_block(block: BlockSymbol) -> bool:

@@ -4,12 +4,15 @@ import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
 import stat
+import tempfile
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -24,9 +27,9 @@ from blockweights.weights import count_core_functions, enumerate_core_functions
 from blockweights.verify import (
     InstanceReport,
     iter_grid,
-    reports_to_csv,
-    reports_to_json,
     run_instance,
+    write_csv,
+    write_json,
 )
 
 from helpers import report_order, run_grid
@@ -55,7 +58,7 @@ N3_GRID = [
 
 def report_to_jsonable(report: InstanceReport) -> dict:
     """Reference for the JSON report: the nested dicts whose
-    json.dumps(indent=2, sort_keys=True) text reports_to_json must equal."""
+    json.dumps(indent=2, sort_keys=True) text write_json must write."""
     p = report.params
     refusal = report.totals["sl_refused"]
     blocks = []
@@ -83,6 +86,20 @@ def report_to_jsonable(report: InstanceReport) -> dict:
         "checks": report.checks,
         "totals": report.totals,
     }
+
+
+def json_text(reports) -> str:
+    """The JSON report of reports, as write_json writes it."""
+    buf = io.StringIO()
+    write_json(reports, buf)
+    return buf.getvalue()
+
+
+def csv_text(reports) -> str:
+    """The CSV report of reports, as write_csv writes it."""
+    buf = io.StringIO()
+    write_csv(reports, buf)
+    return buf.getvalue()
 
 
 def reference_json(reports) -> str:
@@ -145,7 +162,7 @@ def test_ell_two_instance_reports_refusal():
     assert set(report.checks) == ALWAYS_ON
     assert report.totals["sl_refused"] == "ell=2 upper bound only"
     assert report.totals["sl_block_count"] is None
-    (doc,) = json.loads(reports_to_json([report]))
+    (doc,) = json.loads(json_text([report]))
     assert len(doc["blocks"]) == len(report.rows)
     assert all(b["sl"] == {"refused": "ell=2 upper bound only"} for b in doc["blocks"])
 
@@ -235,8 +252,8 @@ def test_rejects_defining_characteristic():
 
 def test_json_shape_and_determinism():
     report = run_instance(WORKED)
-    text = reports_to_json([report])
-    again = reports_to_json([run_instance(WORKED)])
+    text = json_text([report])
+    again = json_text([run_instance(WORKED)])
     assert text == again
     assert text.endswith("\n")
     payload = json.loads(text)
@@ -251,13 +268,13 @@ def test_json_shape_and_determinism():
 
 def test_csv_shape():
     reports = [run_instance(WORKED), run_instance(make_params(n=2, q=5, eps=1, ell=2))]
-    text = reports_to_csv(reports)
+    text = csv_text(reports)
     lines = text.splitlines()
     header = lines[0].split(",")
     assert header[:5] == ["n", "q", "eps", "ell", "label"]
     assert len(lines) == 1 + 12 + 2
     assert lines[-1].endswith("ell=2 upper bound only")
-    assert reports_to_csv(reports) == text
+    assert csv_text(reports) == text
 
 
 # Out of order, over four (q, eps, ell) regimes and both signs.
@@ -312,7 +329,7 @@ def test_grid_report_bytes_are_pinned():
     assert len(reports) == 126
     digests = [
         hashlib.sha256(text.encode()).hexdigest()
-        for text in (reports_to_json(reports), reports_to_csv(reports))
+        for text in (json_text(reports), csv_text(reports))
     ]
     assert digests == [
         "b4e1dc85e371a451cc79e00d1e2578cd87dca2bd2ec8e40c2b1fc9d3271e2b6d",
@@ -427,7 +444,7 @@ def test_cli_oracle_refusal_exits_two(capsys):
 def test_report_jsonable_matches_json_text():
     report = run_instance(make_params(n=2, q=2, eps=-1, ell=5))
     doc = report_to_jsonable(report)
-    assert json.loads(reports_to_json([report]))[0] == doc
+    assert json.loads(json_text([report]))[0] == doc
 
 
 @pytest.mark.parametrize("unipotent_only", [False, True])
@@ -446,7 +463,7 @@ def test_json_emitter_matches_reference_on_grid(unipotent_only):
             "ell=2 upper bound only",
             "ell divides gcd(n, q-eps)",
         }
-    assert reports_to_json(reports) == reference_json(reports)
+    assert json_text(reports) == reference_json(reports)
 
 
 @pytest.mark.parametrize("unipotent_only", [False, True])
@@ -458,7 +475,7 @@ def test_csv_labels_match_the_reference_on_grid(unipotent_only):
     reports = run_grid(N3_GRID + [make_params(n=4, q=9, eps=-1, ell=7)], unipotent_only)
     empty = InstanceReport(WORKED, (), {}, {**reports[0].totals, "blocks": 0})
     for given in (reports, [empty], []):
-        assert reports_to_csv(given) == reference_csv(given)
+        assert csv_text(given) == reference_csv(given)
 
 
 def test_json_emitter_matches_reference_on_edge_reports():
@@ -466,10 +483,10 @@ def test_json_emitter_matches_reference_on_edge_reports():
     broken = dataclasses.replace(report, checks={**report.checks, "gl_blockwise_awc": False})
     empty = InstanceReport(WORKED, (), dict(report.checks), {**report.totals, "blocks": 0})
     for reports in ([broken], [empty], [empty, broken]):
-        assert reports_to_json(reports) == reference_json(reports)
-    assert '"blocks": [],' in reports_to_json([empty])
-    assert '"gl_blockwise_awc": false' in reports_to_json([broken])
-    assert reports_to_json([]) == reference_json([]) == "[]\n"
+        assert json_text(reports) == reference_json(reports)
+    assert '"blocks": [],' in json_text([empty])
+    assert '"gl_blockwise_awc": false' in json_text([broken])
+    assert json_text([]) == reference_json([]) == "[]\n"
 
 
 def test_cli_verify_directory_out_exits_two_before_the_sweep(tmp_path, capsys):
@@ -584,30 +601,96 @@ def test_cli_verify_out_to_a_named_pipe(tmp_path, capsys):
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
-def test_cli_verify_prints_verdicts_before_the_report(monkeypatch, capsys):
-    """Each verdict line is on stderr before the report is serialized, and
-    the verdict lines and the report both come in (n, q, eps, ell) order."""
+class Tape(io.TextIOBase):
+    """Stands in for stdout or stderr; records each write, in the order of
+    the writes to every tape, in events."""
+
+    def __init__(self, name, events):
+        self.name = name
+        self.events = events
+
+    def write(self, text):
+        self.events.append((self.name, text))
+        return len(text)
+
+
+def test_cli_verify_prints_verdicts_before_the_report(monkeypatch):
+    """Every verdict line is on stderr before any of the report is on
+    stdout, and the verdict lines and the report both come in
+    (n, q, eps, ell) order."""
     argv = ["verify", "--n", "1..2", "--q", "3,5", "--eps", "+1,-1", "--ell", "2"]
-    seen = []
-
-    def spy(reports):
-        seen.append((capsys.readouterr().err, [report_order(r) for r in reports]))
-        return reports_to_json(reports)
-
-    monkeypatch.setattr(cli, "reports_to_json", spy)
-    rc = cli.main(argv)
-    out = capsys.readouterr()
-    assert rc == 0
-    [(err, order)] = seen
-    assert len(order) == 8 and order == sorted(order)
+    events = []
+    monkeypatch.setattr("sys.stdout", Tape("out", events))
+    monkeypatch.setattr("sys.stderr", Tape("err", events))
+    assert cli.main(argv) == 0
+    first_out = [name for name, _ in events].index("out")
+    err = "".join(text for name, text in events if name == "err")
+    out = "".join(text for name, text in events if name == "out")
+    assert "".join(text for name, text in events[:first_out]) == err
     verdicts = [
         tuple(int(field.split("=")[1]) for field in line.split()[1:5])
         for line in err.splitlines()
         if line.startswith("ok:")
     ]
-    assert verdicts == order
-    assert not any(line.startswith(("ok:", "FAIL:")) for line in out.err.splitlines())
-    assert out.out == reports_to_json(run_grid([make_params(*k) for k in order]))
+    assert len(verdicts) == 8 and verdicts == sorted(verdicts)
+    order = [
+        tuple(doc["instance"][key] for key in ("n", "q", "eps", "ell"))
+        for doc in json.loads(out)
+    ]
+    assert order == verdicts
+    assert out == json_text(run_grid([make_params(*k) for k in order]))
+
+
+def test_cli_verify_keeps_no_report(monkeypatch, capsys):
+    """Each report is written into the spool and dropped as the next one is
+    built: when report k comes from the sweep, the reports before k - 1 are
+    gone (k - 1 is still the loop variable of the writer)."""
+    refs = []
+    alive_before = []
+    real_iter_grid = cli.iter_grid
+
+    def watched(*args, **kwargs):
+        for report in real_iter_grid(*args, **kwargs):
+            alive_before.append([ref() is not None for ref in refs[:-1]])
+            refs.append(weakref.ref(report))
+            yield report
+
+    monkeypatch.setattr(cli, "iter_grid", watched)
+    for fmt in ("json", "csv"):
+        refs.clear()
+        alive_before.clear()
+        argv = ["verify", "--n", "1..3", "--q", "5", "--eps", "+1", "--ell", "2,3",
+                "--format", fmt]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        assert len(alive_before) == 6
+        assert not any(map(any, alive_before))
+
+
+def test_cli_verify_stopped_after_spooling_keeps_the_old_out(
+    tmp_path, monkeypatch, capsys
+):
+    """A sweep that stops after two instances have been spooled leaves an
+    earlier --out byte for byte as it was, no file beside it or in the
+    temporary directory, and nothing on stdout."""
+    target = tmp_path / "r.json"
+    target.write_bytes(b"earlier report\n")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    real_iter_grid = cli.iter_grid
+
+    def stopped(*args, **kwargs):
+        yield from itertools.islice(real_iter_grid(*args, **kwargs), 2)
+        raise InvariantViolationError("planted")
+
+    monkeypatch.setattr(cli, "iter_grid", stopped)
+    rc = cli.main(["verify", "--n", "1..3", "--q", "5", "--eps", "+1", "--ell", "3",
+                   "--out", str(target)])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err.count("ok:") == 2 and "invariant violated: planted" in out.err
+    assert out.out == ""
+    assert target.read_bytes() == b"earlier report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_src_holds_no_test_only_code():
