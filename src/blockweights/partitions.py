@@ -5,6 +5,10 @@ partition.  Cores and quotients are computed on beta-sets (first column hook
 lengths); the bead count is always the smallest multiple of e that covers the
 number of parts, so runner k-1 always feeds quotient component k and the
 decomposition does not depend on presentation.
+
+The closed-form counts are coefficients of power series products truncated
+at a degree cap: series_mul and series_pow, the package's one such product,
+serve count_with_core and weights.count_core_functions.
 """
 
 from __future__ import annotations
@@ -160,23 +164,32 @@ def partition_count(m: int) -> int:
     return table[m]
 
 
+def series_mul(a: list[int], b: list[int], cap: int) -> list[int]:
+    """Coefficients 0..cap of the product of two power series."""
+    out = [0] * (cap + 1)
+    for i, ai in enumerate(a[: cap + 1]):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b[: cap + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def series_pow(base: list[int], exp: int, cap: int) -> list[int]:
+    """Coefficients 0..cap of base**exp, by square and multiply."""
+    result = [1] + [0] * cap
+    while exp > 0:
+        if exp & 1:
+            result = series_mul(result, base, cap)
+        base = series_mul(base, base, cap)
+        exp >>= 1
+    return result
+
+
 @lru_cache(maxsize=None)
 def enumerate_with_core(m: int, e: int, lam: Partition) -> tuple[Partition, ...]:
     """All partitions of m with e-core lam, in descending lexicographic order."""
     return tuple(mu for mu in enumerate_partitions(m) if e_core(mu, e) == lam)
-
-
-@lru_cache(maxsize=None)
-def _multipartition_count(e: int, w: int) -> int:
-    """Number of e-tuples of partitions with total size w."""
-    coeffs = [0] * (w + 1)
-    coeffs[0] = 1
-    for _ in range(e):
-        coeffs = [
-            sum(coeffs[total - s] * partition_count(s) for s in range(total + 1))
-            for total in range(w + 1)
-        ]
-    return coeffs[w]
 
 
 def count_with_core(m: int, e: int, lam: Partition) -> int:
@@ -194,7 +207,9 @@ def count_with_core(m: int, e: int, lam: Partition) -> int:
     core_size = sum(lam)
     if m < core_size or (m - core_size) % e != 0:
         return 0
-    return _multipartition_count(e, (m - core_size) // e)
+    # e-quotients of total size w: the e-fold power of the partition series.
+    w = (m - core_size) // e
+    return series_pow([partition_count(k) for k in range(w + 1)], e, w)[w]
 
 
 @lru_cache(maxsize=None)

@@ -255,20 +255,20 @@ def block_of(sym: AdmissibleSymbol, params: InstanceParams) -> BlockSymbol:
 def symbols_in_block(
     block: BlockSymbol, params: InstanceParams
 ) -> tuple[AdmissibleSymbol, ...]:
-    """All admissible symbols with the given block symbol, sorted."""
+    """All admissible symbols with the given block symbol, sorted: the
+    slots hold distinct orbits in order, so the product of the slots'
+    ascending lists (enumerate_with_core's, reversed) is sorted."""
     table = params.e_gamma_table
     per_slot = [
-        enumerate_with_core(m, table[orb.size - 1], lam)
+        reversed(enumerate_with_core(m, table[orb.size - 1], lam))
         for orb, m, lam in block.triples
     ]
-    out = [
+    return tuple(
         AdmissibleSymbol(
             tuple((orb, mu) for (orb, _, _), mu in zip(block.triples, combo))
         )
         for combo in itertools.product(*per_slot)
-    ]
-    out.sort()
-    return tuple(out)
+    )
 
 
 def _walk_blocks(items, slots, n: int, ell: int):
@@ -503,14 +503,15 @@ def _block_stabilizers(
 def weight_symbols_in_block(
     block: BlockSymbol, params: InstanceParams
 ) -> tuple[WeightSymbol, ...]:
-    """All weight symbols over the given block symbol, sorted."""
+    """All weight symbols over the given block symbol, sorted, as the
+    product of the slots' sorted core-function lists (symbols_in_block)."""
     table = params.e_gamma_table
     per_slot = []
     for orb, m, lam in block.triples:
         ei = table[orb.size - 1]
         w = (m - sum(lam)) // ei
         per_slot.append(enumerate_core_functions(ei, w, params.ell))
-    out = [
+    return tuple(
         WeightSymbol(
             tuple(
                 (orb, m, lam, func)
@@ -518,9 +519,7 @@ def weight_symbols_in_block(
             )
         )
         for combo in itertools.product(*per_slot)
-    ]
-    out.sort()
-    return tuple(out)
+    )
 
 
 # The block preserving relabeling between admissible and weight symbols:

@@ -58,6 +58,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, mul
 
 from .arith import InstanceParams
+from .errors import InvariantViolationError
 from .semisimple import center_elements, enumerate_ellprime_orbits
 from .symbols import (
     IDENTITY_ORBIT,
@@ -124,6 +125,8 @@ def run_instance(
         for name in set(chain.from_iterable(map(attrgetter("failed"), rows))):
             if name in checks:
                 checks[name] = False
+            elif name not in SL_BLOCK_CHECKS:  # dropped when SL is refused
+                raise InvariantViolationError(f"a block failed unknown check {name!r}")
         total_symbols = sum(map(attrgetter("ibr"), rows))
         total_weights = sum(map(attrgetter("weights"), rows))
         stab_sq_total = sum(map(attrgetter("stab_sq_sum"), rows))

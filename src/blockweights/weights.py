@@ -3,7 +3,8 @@
 A slot (d, k, j) lives at level d (contributing with multiplicity ell**d),
 under component k of an e-quotient, at tree node j.  A core function assigns
 nonempty ell-cores to finitely many slots; its weighted size is the sum of
-ell**d times the size of the assigned core.
+ell**d times the size of the assigned core.  count_core_functions counts
+them by the truncated series product of partitions.series_mul/series_pow.
 """
 
 from __future__ import annotations
@@ -12,19 +13,33 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError
-from .partitions import Partition, enumerate_partitions, is_e_core
+from .partitions import (
+    Partition,
+    enumerate_partitions,
+    is_e_core,
+    series_mul,
+    series_pow,
+)
 
 SlotIndex = tuple[int, int, int]
 
 
-def slots_at_level(h: int, d: int, ell: int) -> tuple[SlotIndex, ...]:
-    """The h * ell**d slots (d, k, j), ordered by (k, j)."""
+def _check_slot_space(h: int, w: int, ell: int) -> None:
+    """The slot-space refusals, one check so that the two routes refuse
+    alike (slots_at_level too); with ell < 2 the level loops never end."""
+    if w < 0:
+        raise DomainError(f"weight must be nonnegative, got {w}")
     if h < 1:
         raise DomainError(f"component count must be at least 1, got {h}")
-    if d < 0:
-        raise DomainError(f"level must be nonnegative, got {d}")
     if ell < 2:
         raise DomainError(f"ell must be at least 2, got {ell}")
+
+
+def slots_at_level(h: int, d: int, ell: int) -> tuple[SlotIndex, ...]:
+    """The h * ell**d slots (d, k, j), ordered by (k, j)."""
+    _check_slot_space(h, 0, ell)
+    if d < 0:
+        raise DomainError(f"level must be nonnegative, got {d}")
     return tuple(
         (d, k, j) for k in range(1, h + 1) for j in range(1, ell**d + 1)
     )
@@ -100,12 +115,7 @@ def enumerate_core_functions(
 
     Levels with ell**d > w cannot carry anything, so the slot list is finite.
     """
-    if w < 0:
-        raise DomainError(f"weight must be nonnegative, got {w}")
-    if h < 1:
-        raise DomainError(f"component count must be at least 1, got {h}")
-    if ell < 2:
-        raise DomainError(f"ell must be at least 2, got {ell}")
+    _check_slot_space(h, w, ell)
     slots: list[SlotIndex] = []
     d = 0
     while ell**d <= w:
@@ -116,28 +126,6 @@ def enumerate_core_functions(
     )
 
 
-def _poly_mul(a: list[int], b: list[int], cap: int) -> list[int]:
-    out = [0] * (cap + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_pow(base: list[int], exp: int, cap: int) -> list[int]:
-    result = [1] + [0] * cap
-    while exp > 0:
-        if exp & 1:
-            result = _poly_mul(result, base, cap)
-        base = _poly_mul(base, base, cap)
-        exp >>= 1
-    return result
-
-
 @lru_cache(maxsize=None)
 def count_core_functions(h: int, w: int, ell: int) -> int:
     """Size of the slot space, by a level-wise generating function product.
@@ -145,20 +133,13 @@ def count_core_functions(h: int, w: int, ell: int) -> int:
     This is an independent route from enumerate_core_functions; the two are
     compared in tests.
     """
-    if w < 0:
-        raise DomainError(f"weight must be nonnegative, got {w}")
-    if h < 1:
-        raise DomainError(f"component count must be at least 1, got {h}")
-    if ell < 2:
-        raise DomainError(f"ell must be at least 2, got {ell}")
+    _check_slot_space(h, w, ell)
     poly = [1] + [0] * w
-    d = 0
-    while ell**d <= w:
-        unit = ell**d
+    unit = 1  # ell**d at level d, which has h * ell**d slots
+    while unit <= w:
         slot_poly = [0] * (w + 1)
-        slot_poly[0] = 1
-        for s in range(1, w // unit + 1):
+        for s in range(w // unit + 1):
             slot_poly[unit * s] = len(ell_cores_of_size(s, ell))
-        poly = _poly_mul(poly, _poly_pow(slot_poly, h * unit, w), w)
-        d += 1
+        poly = series_mul(poly, series_pow(slot_poly, h * unit, w), w)
+        unit *= ell
     return poly[w]

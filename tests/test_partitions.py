@@ -2,7 +2,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from blockweights.errors import DomainError
 from blockweights.partitions import (
@@ -20,6 +20,8 @@ from blockweights.partitions import (
     is_e_core,
     partition_count,
     partition_from_beta,
+    series_mul,
+    series_pow,
     tower_to_partition,
     transpose,
 )
@@ -264,6 +266,41 @@ def test_count_with_core_partitions_the_full_set():
     for m in range(9):
         for e in range(1, 6):
             assert sum(count_with_core(m, e, lam) for lam in distinct_cores(m, e)) == partition_count(m)
+
+
+def full_product(a, b):
+    """The product of two coefficient lists, untruncated."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def truncated(coeffs, cap):
+    """Coefficients 0..cap of a coefficient list, zero past its end."""
+    return (coeffs + [0] * (cap + 1))[: cap + 1]
+
+
+# Coefficient lists, some with zero leading coefficients.
+series = st.tuples(
+    st.integers(0, 3), st.lists(st.integers(-4, 4), max_size=6)
+).map(lambda t: [0] * t[0] + t[1])
+
+
+@given(series, series, st.integers(0, 9))
+@example(a=[0, 0, 1], b=[0, 3], cap=2)
+def test_series_mul_is_the_truncated_full_product(a, b, cap):
+    assert series_mul(a, b, cap) == truncated(full_product(a, b), cap)
+
+
+@given(series, st.integers(0, 6), st.integers(0, 9))
+@example(base=[0, 0, 5], exp=0, cap=3)
+def test_series_pow_is_the_truncated_repeated_product(base, exp, cap):
+    power = [1]
+    for _ in range(exp):
+        power = full_product(power, base)
+    assert series_pow(base, exp, cap) == truncated(power, cap)
 
 
 def test_distinct_cores_known():

@@ -8,7 +8,13 @@ import pytest
 from blockweights import semisimple, symbols, verify
 from blockweights.arith import e_gamma, make_params, prime_power_decomposition
 from blockweights.errors import DomainError, InvariantViolationError, UnsupportedModeError
-from blockweights.partitions import count_with_core, distinct_cores, enumerate_with_core
+from blockweights.partitions import (
+    count_with_core,
+    distinct_cores,
+    enumerate_with_core,
+    series_mul,
+    series_pow,
+)
 from blockweights.semisimple import (
     IDENTITY,
     FrobeniusOrbit,
@@ -332,16 +338,6 @@ def test_block_enumeration_n1():
     assert len(enumerate_block_symbols(make_params(n=1, q=5, eps=1, ell=3))) == 4
 
 
-def _times(a, b, n):
-    """Product of two coefficient lists, truncated after x**n."""
-    out = [0] * (n + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b[: n + 1 - i]):
-                out[i + j] += x * y
-    return out
-
-
 def block_count(params):
     """The number of blocks, counted without enumerating them: the
     coefficient of x**n in the product over degrees d of F_d(x)**N_d, where
@@ -353,14 +349,9 @@ def block_count(params):
     total = [1] + [0] * n
     for d, orbits in degrees.items():
         factor = [0] * (n + 1)
-        factor[0] = 1
-        for m in range(1, n // d + 1):
+        for m in range(n // d + 1):
             factor[d * m] = len(distinct_cores(m, e_gamma(d, params)))
-        while orbits:
-            if orbits & 1:
-                total = _times(total, factor, n)
-            factor = _times(factor, factor, n)
-            orbits >>= 1
+        total = series_mul(total, series_pow(factor, orbits, n), n)
     return total[n]
 
 

@@ -220,6 +220,32 @@ def test_run_instance_restores_the_collector_on_raise(gc_state, monkeypatch):
     assert gc.isenabled()
 
 
+def plant_failed(monkeypatch, name):
+    """Make every row of the block walk fail the check called name."""
+    real = verify.walk_block_counts
+
+    def planted(orbits, params):
+        for row in real(orbits, params):
+            yield row._replace(failed=(name,))
+
+    monkeypatch.setattr(verify, "walk_block_counts", planted)
+
+
+def test_run_instance_refuses_a_failed_name_that_is_no_check(monkeypatch):
+    """A misspelt name must not vanish and leave every check passing."""
+    plant_failed(monkeypatch, "kappa_divisibilty")
+    with pytest.raises(InvariantViolationError, match="'kappa_divisibilty'"):
+        run_instance(WORKED)
+
+
+def test_run_instance_drops_sl_names_only_when_refused(monkeypatch):
+    plant_failed(monkeypatch, "kappa_divisibility")
+    report = run_instance(WORKED)
+    assert [n for n, ok in report.checks.items() if not ok] == ["kappa_divisibility"]
+    refused = run_instance(make_params(n=2, q=5, eps=1, ell=2))
+    assert refused.totals["sl_refused"] and refused.all_passed
+
+
 def test_run_instance_leaves_no_cyclic_garbage(gc_state):
     """The collector is paused in run_instance because an instance builds
     no reference cycle: once its report is dropped, reference counting has

@@ -33,7 +33,7 @@ def test_count_core_functions_refuses_ell_below_two(monkeypatch):
     that a loop fails rather than hangs."""
     with pytest.raises(DomainError):
         enumerate_core_functions(1, 1, 1)
-    real_pow = weights._poly_pow
+    real_pow = weights.series_pow
     calls = []
 
     def capped_pow(base, exp, cap):
@@ -42,7 +42,7 @@ def test_count_core_functions_refuses_ell_below_two(monkeypatch):
             raise RuntimeError("count_core_functions looped 1,000 levels")
         return real_pow(base, exp, cap)
 
-    monkeypatch.setattr(weights, "_poly_pow", capped_pow)
+    monkeypatch.setattr(weights, "series_pow", capped_pow)
     with pytest.raises(DomainError):
         count_core_functions(1, 1, 1)
 
