@@ -28,8 +28,9 @@ any blocks (kappa_block, sl_block_report read it for one), and
 walk_block_counts on the blocks of the block walk, for verify.run_instance.
 
 The labels of a block are products over its slots (orbit, m, core), so the
-GL side is counted and checked once per slot shape (_slot_counts), and a
-block's GL record is the fold (_fold) of its slots' records.  The block walk
+GL side is counted once per slot shape, and every GL check is decided there
+(_slot_counts) and nowhere else: a block's GL record, its two counts and its
+failed names, is the fold (_fold) of its slots' records.  The block walk
 _walk_blocks builds bottom up: it lists once the sorted tuples of each size
 below n, the tails, with their records, and builds each block as one first
 triple followed by a tail over later orbits, folding that triple into the
@@ -641,24 +642,31 @@ class BlockCounts(NamedTuple):
 @lru_cache(maxsize=None)
 def _slot_counts(m: int, e: int, lam: Partition, ell: int):
     """The counts and GL checks of one block slot: multiplicity m, e-core
-    lam, with e = e_gamma of the orbit degree.
-
-    Returns the closed-form counts of partitions (count_with_core) and of
-    core functions (count_core_functions), the lengths of their lists
-    (enumerate_with_core, enumerate_core_functions), and the names of the
-    checks that fail on the slot.  Each partition mu of the list must
-    relabel by _weight_data to (m, lam, f) with f in the core-function list
+    lam, with e = e_gamma of the orbit degree.  Every GL check is decided
+    here and nowhere else.  Returns (nsym, nwt, failed): the closed-form
+    counts of partitions (count_with_core) and of core functions
+    (count_core_functions), and the names of the checks that fail on the
+    slot.  gl_blockwise_awc fails when the counts differ, counts_match when
+    a list (enumerate_with_core, enumerate_core_functions) is not as long
+    as its count.  Each partition mu of the list must relabel by
+    _weight_data to (m, lam, f) with f in the core-function list
     (bijection_block_preserved); validate_core_function must accept f, and
     raises DomainError as from_weight_symbol does when it does not; and
-    _brauer_partition must bring f back to mu (bijection_roundtrip).
-    The key holds no instance, so every instance shares the cache, which
-    is never cleared: the n <= 6 grid has 105 slot shapes.
+    _brauer_partition must bring f back to mu (bijection_roundtrip).  The
+    key holds no instance, so every instance shares the cache, which is
+    never cleared: the n <= 6 grid has 105 slot shapes.
     """
     w = (m - sum(lam)) // e
+    nsym = count_with_core(m, e, lam)
+    nwt = count_core_functions(e, w, ell)
     mus = enumerate_with_core(m, e, lam)
     funcs = enumerate_core_functions(e, w, ell)
     members = set(funcs)
     failed = set()
+    if nsym != nwt:
+        failed.add("gl_blockwise_awc")
+    if len(mus) != nsym or len(funcs) != nwt:
+        failed.add("counts_match")
     for mu in mus:
         m_mu, lam_mu, func = _weight_data(mu, e, ell)
         if (m_mu, lam_mu) != (m, lam) or func not in members:
@@ -667,13 +675,7 @@ def _slot_counts(m: int, e: int, lam: Partition, ell: int):
         validate_core_function(func, e, w, ell)
         if _brauer_partition(m, lam, func.entries, e, ell) != mu:
             failed.add("bijection_roundtrip")
-    return (
-        count_with_core(m, e, lam),
-        count_core_functions(e, w, ell),
-        len(mus),
-        len(funcs),
-        frozenset(failed),
-    )
+    return nsym, nwt, frozenset(failed)
 
 
 @lru_cache(maxsize=None)
@@ -688,22 +690,20 @@ def _slot_records(m: int, e: int, ell: int):
 
 
 # The GL record of a block, as _slot_counts gives that of one slot: the
-# closed-form symbol and weight counts, the lengths of the two lists and the
-# names of the failed checks.  _NO_SLOT is the record of no slot.
-_NO_SLOT = (1, 1, 1, 1, frozenset())
+# closed-form symbol and weight counts and the names of the failed checks.
+# _NO_SLOT is the record of no slot.
+_NO_SLOT = (1, 1, frozenset())
 
 
 def _fold(record, slot):
     """A block's record extended by the record of one more slot: the counts
-    and lengths multiplied, the failed names united.  The block walk and
-    block_counts fold with this one step."""
-    nsym, nwt, listed_sym, listed_wt, failed = record
-    slot_sym, slot_wt, slot_listed_sym, slot_listed_wt, slot_failed = slot
+    multiplied, the failed names united.  The block walk and block_counts
+    fold with this one step."""
+    nsym, nwt, failed = record
+    slot_sym, slot_wt, slot_failed = slot
     return (
         nsym * slot_sym,
         nwt * slot_wt,
-        listed_sym * slot_listed_sym,
-        listed_wt * slot_listed_wt,
         failed | slot_failed if slot_failed else failed,
     )
 
@@ -737,7 +737,8 @@ def block_counts(blocks, params: InstanceParams):
     each keeps the orbit and reads it only through e
     (test_symbols::test_to_weight_symbol_is_entry_by_entry).  So every GL
     count and check of a block is a product or a union over its slots, and
-    _slot_counts runs each once per slot (m, e, lam, ell):
+    _slot_counts decides each once per slot (m, e, lam, ell); a block fails
+    a GL check exactly when one of its slots does:
 
     * gl_blockwise_awc: the closed-form symbol and weight counts agree.
     * counts_match: they equal the lengths of the lists.
@@ -786,9 +787,9 @@ def block_counts(blocks, params: InstanceParams):
     The per-SL-block sums are counted by orbit-stabilizer in C1 and divided
     by |C1| kappa_b; a remainder fails sl_blockwise_awc, and so do quotients
     that differ.  When C1 = 1 the divisor is 1: sl_ibr and stab_sq_sum are
-    the length of the symbol list and sl_weights that of the weight list,
-    so sl_blockwise_awc fails exactly when the two lengths differ, and the
-    kernel takes them without a division.
+    the number of symbols and sl_weights that of weight symbols, the GL
+    counts by counts_match, so the kernel takes those without a division,
+    and sl_blockwise_awc fails exactly when they differ.
     """
     table = params.e_gamma_table
     ell = params.ell
@@ -813,9 +814,10 @@ def walk_block_counts(orbits, params: InstanceParams):
 
 def _kernel(counted, params: InstanceParams):
     """The body of block_counts, from the triples of each block with its GL
-    record: the GL checks of the record and C1.  Where C1 = 1 the record
-    gives the row; a failed-name set is built only when a check fails.
-    Elsewhere kappa_b, the label scan under C1 and the SL divisions."""
+    record (nsym, nwt, failed), every GL check decided by _slot_counts: C1;
+    where C1 = 1 the row from the record, a failed-name set built only when
+    a check fails; elsewhere kappa_b, the label scan under C1 and the SL
+    divisions."""
     eq = params.eq
     center = _twist_fixed_center(params)
     order = center.order
@@ -826,14 +828,8 @@ def _kernel(counted, params: InstanceParams):
     # them, without the Python-level __new__ they have: on the per-block
     # path that call costs as much as the rest of building the tuple.
     new = tuple.__new__
-    for triples, (nsym, nwt, listed_sym, listed_wt, failed) in counted:
+    for triples, (nsym, nwt, failed) in counted:
         block = new(BlockSymbol, (triples,))
-        if nsym != nwt or listed_sym != nsym or listed_wt != nwt:
-            failed = set(failed)
-            if nsym != nwt:
-                failed.add("gl_blockwise_awc")
-            if listed_sym != nsym or listed_wt != nwt:
-                failed.add("counts_match")
         # C1 is the setwise stabilizer of the block in the center.  The
         # triples are sorted, so the block is unipotent, with C1 = 1, when
         # its last orbit is the identity; the map is built at the first
@@ -846,14 +842,14 @@ def _kernel(counted, params: InstanceParams):
 
         if c1_rest is None:
             # C1 = 1: kappa_b = 1, every stabilizer is 1, each squared
-            # stabilizer sum is the number of labels and each per-SL-block
-            # sum that number over 1.
-            if listed_sym != listed_wt:
+            # stabilizer sum is the number of labels, its closed form by
+            # counts_match, and each per-SL-block sum that number over 1.
+            if nsym != nwt:
                 failed = {*failed, "sl_blockwise_awc"}
             yield new(
                 BlockCounts,
                 (
-                    block, nsym, nwt, 1, 1, listed_sym, listed_wt, listed_sym,
+                    block, nsym, nwt, 1, 1, nsym, nwt, nsym,
                     tuple(sorted(failed)) if failed else (),
                 ),
             )

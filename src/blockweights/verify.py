@@ -9,8 +9,10 @@ enumerated blocks.  The finished rows are summed column by column, and their
 failed names gathered, by map and sum, with no Python loop per row.  With
 them comes a dictionary of named equality checks:
 
-* gl_blockwise_awc: per block, #Brauer characters == #weight classes;
+* gl_blockwise_awc: #Brauer characters == #weight classes, by closed form;
 * counts_match: closed form counts agree with explicit enumerations;
+  symbols._slot_counts decides both per block slot, and a block fails
+  each that one of its slots fails;
 * bijection_*: the relabeling between the two families is a bijection on
   each block, preserves stabilizer orders, and commutes with the center
   (symbols.block_counts proves that its checks show this).  The bijection

@@ -918,23 +918,29 @@ def test_run_instance_rows_are_the_block_counts_records():
         )
 
 
+def one_partition_too_many(slot):
+    """A stand-in for enumerate_with_core that lists the first partition of
+    the slot (m, e, lam) twice, so that the slot's symbol list is one longer
+    than its closed form and every partition on it still relabels and comes
+    back."""
+    real_with_core = symbols.enumerate_with_core
+
+    def enumerate_with_core(m, e, lam):
+        mus = real_with_core(m, e, lam)
+        return mus + mus[:1] if (m, e, lam) == slot else mus
+
+    return enumerate_with_core
+
+
 def test_walk_fold_sees_a_slot_record_off_by_one(plant):
-    """One slot record whose symbol list is one longer than its partitions,
-    planted in the fold of the block walk, fails counts_match in
-    run_instance on exactly the blocks that carry that slot; block_counts,
-    which folds with the same step, finds the same rows."""
+    """One slot whose partition list is planted one longer than its closed
+    form fails counts_match at the slot, so in run_instance on exactly the
+    blocks that carry that slot; block_counts, which folds with the same
+    step, finds the same rows."""
     orbit, m, lam = PLANT_BLOCKS[1].triples[0]
-    target = symbols._slot_counts(m, e_gamma(orbit.size, P25), lam, P25.ell)
-    real_fold = symbols._fold
-
-    def off_by_one(record, slot):
-        nsym, nwt, listed_sym, listed_wt, failed = real_fold(record, slot)
-        if slot == target:
-            listed_sym += 1
-        return nsym, nwt, listed_sym, listed_wt, failed
-
+    slot = (m, e_gamma(orbit.size, P25), lam)
     assert run_instance(P25).checks["counts_match"]
-    plant(symbols, "_fold", off_by_one)
+    plant(symbols, "enumerate_with_core", one_partition_too_many(slot))
     report = run_instance(P25)
     assert report.checks["counts_match"] is False
     bad = {row.block for row in report.rows if "counts_match" in row.failed}
@@ -942,8 +948,7 @@ def test_walk_fold_sees_a_slot_record_off_by_one(plant):
         row.block
         for row in report.rows
         if any(
-            symbols._slot_counts(m, e_gamma(o.size, P25), lam, P25.ell) == target
-            for o, m, lam in row.block.triples
+            (m, e_gamma(o.size, P25), lam) == slot for o, m, lam in row.block.triples
         )
     }
     assert PLANT_BLOCKS[1] in bad
@@ -967,27 +972,51 @@ def test_kernel_c1_is_read_at_every_fixed_block():
 
 def test_listed_counts_that_differ_fail_on_a_block_with_trivial_c1(plant):
     """A block with C1 = 1 whose symbol list is planted one longer than its
-    weight list fails counts_match and sl_blockwise_awc, alone and in
-    run_instance: its per-SL-block counts are the two list lengths."""
+    closed form fails counts_match alone, and so does run_instance: its
+    per-SL-block counts are the closed-form counts, which the plant leaves
+    as they were."""
     block = PLANT_BLOCKS[0]
     ((orbit, m, lam),) = block.triples
-    target = symbols._slot_counts(m, e_gamma(orbit.size, P25), lam, P25.ell)
-    real_fold = symbols._fold
-
-    def off_by_one(record, slot):
-        nsym, nwt, listed_sym, listed_wt, failed = real_fold(record, slot)
-        if slot == target:
-            listed_sym += 1
-        return nsym, nwt, listed_sym, listed_wt, failed
-
     (clean,) = block_counts((block,), P25)
     assert clean.c1_order == 1 and not clean.failed
-    plant(symbols, "_fold", off_by_one)
+    slot = (m, e_gamma(orbit.size, P25), lam)
+    plant(symbols, "enumerate_with_core", one_partition_too_many(slot))
     (counts,) = block_counts((block,), P25)
-    assert counts.failed == ("counts_match", "sl_blockwise_awc")
-    assert (counts.sl_ibr, counts.sl_weights) == (clean.sl_ibr + 1, clean.sl_weights)
-    checks = run_instance(P25).checks
-    assert checks["counts_match"] is False and checks["sl_blockwise_awc"] is False
+    assert counts.failed == ("counts_match",)
+    assert (counts.sl_ibr, counts.sl_weights) == (clean.sl_ibr, clean.sl_weights)
+    assert run_instance(P25).checks["counts_match"] is False
+
+
+def test_gl_blockwise_awc_fails_at_a_slot_whose_fault_cancels_in_the_block(plant):
+    """Closed-form counts planted twice too high, the symbol count at the
+    slot (2, 2, ()) and the weight count at (1, 2, (1,)), fail
+    gl_blockwise_awc at both slots, so on every block that holds the two,
+    although its two products agree."""
+    params = make_params(n=3, q=5, eps=1, ell=3)
+    assert e_gamma(1, params) == 2
+    real_with_core = symbols.count_with_core
+    real_functions = symbols.count_core_functions
+    plant(
+        symbols,
+        "count_with_core",
+        lambda m, e, lam: real_with_core(m, e, lam) * (1 + ((m, e, lam) == (2, 2, ()))),
+    )
+    # The weight count reads e and the weight alone: (1, 2, (1,)) has weight 0.
+    plant(
+        symbols,
+        "count_core_functions",
+        lambda e, w, ell: real_functions(e, w, ell) * (1 + ((e, w) == (2, 0))),
+    )
+    both = [
+        row
+        for row in run_instance(params).rows
+        if {(m, lam) for orbit, m, lam in row.block.triples if orbit.size == 1}
+        >= {(2, ()), (1, (1,))}
+    ]
+    assert both
+    for row in both:
+        assert row.ibr == row.weights
+        assert "gl_blockwise_awc" in row.failed
 
 
 def test_block_counts_equal_the_label_level_reference():
